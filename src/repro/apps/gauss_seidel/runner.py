@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -39,12 +39,6 @@ def run_gauss_seidel(spec: JobSpec, params: GSParams,
 
         tracer = Tracer(progress_every=None)
 
-    from repro.sim.shard import resolve_shards
-
-    n_shards = resolve_shards(spec, tracer=tracer, collect_grid=collect_grid)
-    if n_shards:
-        return _run_sharded(spec, params, n_shards)
-
     job = build_job(spec, tracer=tracer)
     storages = make_storages(job, params)
     main = _MAINS[spec.variant]
@@ -69,35 +63,6 @@ def run_gauss_seidel(spec: JobSpec, params: GSParams,
             raise ValueError("collect_grid requires compute_data=True")
         result.extra["grid"] = _assemble(storages, params)
     return result
-
-
-def _run_sharded(spec: JobSpec, params: GSParams,
-                 n_shards: int, observer=None) -> "VariantResult":
-    """Sharded-engine path (repro.sim.shard): bit-identical to the serial
-    path above by the conservative-window determinism contract."""
-    from repro.apps.gauss_seidel.common import initial_grid, partition_rows
-    from repro.sim.shard import run_sharded_job
-
-    main = _MAINS[spec.variant]
-
-    def make_procs(job, local_ranks):
-        grid = initial_grid(params) if params.compute_data else None
-        ranges = partition_rows(params.rows, job.spec.n_ranks)
-        return [
-            main(job, params,
-                 RankStorage(params, r, job.spec.n_ranks, ranges[r], grid))
-            for r in local_ranks
-        ]
-
-    sim_time, metrics = run_sharded_job(spec, make_procs, n_shards,
-                                        observer=observer)
-    return VariantResult(
-        variant=spec.variant,
-        n_nodes=spec.n_nodes,
-        throughput=params.gupdates(sim_time),
-        sim_time=sim_time,
-        extra=metrics,
-    )
 
 
 def run_gauss_seidel_steady(spec: JobSpec, params: GSParams,

@@ -86,8 +86,7 @@ def mpi_only_main(job: Job, params: GSParams, st: RankStorage):
         init_sends = []
         if st.has_upper:
             # one library entry for the whole first-row halo: all blocks go
-            # to the same neighbour at the same instant, so the injection
-            # rides the vectorized Cluster.send_batch wire path
+            # to the same neighbour under a single lock acquisition
             row = st.first_row()
             # analysis-ok: consumed at t==0, and timesteps >= 1 is
             # validated (GSParams), so the zero-trip path cannot happen

@@ -109,8 +109,7 @@ def mpi_only_main(job: Job, params: StreamingParams, sr: StreamRank,
                 yield from drv.compute(cost)
                 if sr.next is not None:
                     # the writer emits one block per task; a unit batch is
-                    # grant-arithmetic-identical to a plain isend but keeps
-                    # the wire injection on the Cluster.send_batch path
+                    # grant-arithmetic-identical to a plain isend
                     reqs = yield from drv.isend_batch(
                         [sr.sbuf[sl]], sr.next, [c * nb + b])
                     sends.extend(reqs)

@@ -7,8 +7,8 @@ tree means every benchmark run records its speedup **in the same process on
 the same machine**, so the numbers in ``BENCH_*.json`` are self-contained
 and reproducible — no stale reference timings.
 
-Nothing outside ``repro.bench`` may import this module; it is not part of
-the simulator.
+Nothing in the simulator may import this module. Besides ``repro.bench``,
+only the engine property test uses it, as a single-heap ordering oracle.
 """
 
 from __future__ import annotations

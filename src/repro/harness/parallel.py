@@ -11,10 +11,11 @@ pure function of its :class:`~repro.harness.runner.JobSpec` + app params
   how the pool interleaves — asserted by tests/test_parallel_sweep.py.
 * **Content-addressed caching** (:class:`ResultCache`): every point hashes
   its full configuration — machine (fabric ``sw`` table included), fault
-  plan, seed, runner identity, app params — into a cache key
-  (:func:`cache_key`). A re-run of an unchanged point is a cache hit and
-  executes nothing; *any* change to an input produces a different key, so
-  invalidation is automatic and exact.
+  plan, seed, runner identity, app params — plus a fingerprint of the
+  model source code into a cache key (:func:`cache_key`). A re-run of an
+  unchanged point is a cache hit and executes nothing; *any* change to an
+  input or to the model code produces a different key, so invalidation is
+  automatic and exact.
 
 A failing point never kills the sweep: its exception is captured per point
 (:class:`SweepPointError`) and either re-raised after the sweep completes
@@ -25,6 +26,7 @@ A failing point never kills the sweep: its exception is captured per point
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -41,7 +43,12 @@ import numpy as np
 from repro.harness.metrics import VariantResult
 
 #: bump when the cache file layout changes; mismatched files are invalidated
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
+
+#: the model code, relative to the ``repro`` package directory, whose
+#: source is hashed into every cache key (:func:`model_fingerprint`)
+MODEL_SOURCES = ("sim", "network", "mpi", "gaspi", "tasking", "tampi", "core",
+                 "collectives", "faults", "apps", "harness/runner.py")
 
 #: default on-disk cache location (gitignored)
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -68,11 +75,6 @@ def canonicalize(obj: Any) -> Any:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         out: Dict[str, Any] = {"__dataclass__": type(obj).__name__}
         for f in dataclasses.fields(obj):
-            # fields marked cache_key=False (e.g. JobSpec.shards) cannot
-            # change results — bit-identity contract — so they must not
-            # split the cache
-            if f.metadata.get("cache_key") is False:
-                continue
             out[f.name] = canonicalize(getattr(obj, f.name))
         return out
     if isinstance(obj, dict):
@@ -92,17 +94,50 @@ def canonicalize(obj: Any) -> Any:
     return {"__repr__": repr(obj)}
 
 
+def source_fingerprint(root: str) -> str:
+    """SHA-256 over the ``.py`` files of :data:`MODEL_SOURCES` under
+    ``root`` (a ``repro`` package directory), keyed by their ``/``-separated
+    relative paths in sorted order."""
+    files = []
+    for entry in MODEL_SOURCES:
+        path = os.path.join(root, *entry.split("/"))
+        if os.path.isdir(path):
+            files += [os.path.join(d, f) for d, _, names in os.walk(path)
+                      for f in names if f.endswith(".py")]
+        else:
+            files.append(path)
+    rels = sorted((os.path.relpath(f, root).replace(os.sep, "/"), f)
+                  for f in files)
+    h = hashlib.sha256()
+    for rel, f in rels:
+        with open(f, "rb") as fh:
+            src = fh.read()
+        h.update(f"{rel}\0{len(src)}\0".encode("utf-8"))
+        h.update(src)
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def model_fingerprint() -> str:
+    """:func:`source_fingerprint` of the installed ``repro`` package,
+    computed once per process."""
+    return source_fingerprint(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
 def cache_key(run_fn: Callable, spec, params, run_kwargs: Optional[dict] = None) -> str:
     """Content hash of one experimental point.
 
     Covers the runner's identity, the full :class:`JobSpec` (machine with
     its fabric ``sw`` cost table, fault plan, seed, polling period, ...),
-    the app params, and any extra runner kwargs. Two points collide iff
-    their canonical serializations are identical — which, by the purity
+    the app params, any extra runner kwargs, and the
+    :func:`model_fingerprint`. Two points collide iff their canonical
+    serializations and model code are identical — which, by the purity
     contract, means their results are identical.
     """
     payload = {
         "schema": CACHE_SCHEMA,
+        "model": model_fingerprint(),
         "runner": runner_id(run_fn),
         "spec": canonicalize(spec),
         "params": canonicalize(params),

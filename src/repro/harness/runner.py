@@ -14,7 +14,7 @@ Rank layouts follow the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -36,6 +36,11 @@ from repro.trace import MetricsRegistry, Tracer
 
 class VariantError(ValueError):
     """Unknown or inconsistent variant configuration."""
+
+
+class _JobDone(Exception):
+    """Raised by the completion callback of a job's last live process to
+    leave the engine's run loop (see :meth:`Job.run`)."""
 
 
 VARIANTS = ("mpi", "tampi", "tagaspi")
@@ -80,14 +85,6 @@ class JobSpec:
     #: under the pure-``mpi`` variant so notification pipelines are
     #: available to single-threaded rank processes.
     backend: Optional[str] = None
-    #: shard the job across N OS processes with conservative time windows
-    #: (repro.sim.shard). ``None`` follows ``REPRO_ENGINE=sharded`` /
-    #: ``REPRO_SHARDS``; ineligible configs (hybrid variants, tracing,
-    #: checks, faults, perf) silently run on the single engine. Sharded
-    #: results are bit-identical to serial ones, so the field is excluded
-    #: from result-cache keys (``cache_key=False`` metadata).
-    shards: Optional[int] = field(default=None,
-                                  metadata={"cache_key": False})
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -344,24 +341,34 @@ class Job:
 
         ``max_events`` uses the same convention as :meth:`Engine.run`: a
         budget of N allows exactly N events to fire before raising.
+
+        The engine's own loop does the work: the completion callback of the
+        last live process raises :class:`_JobDone`, which stops it right
+        after that process's event fired. Pollers that are still queued
+        never fire. A normal return from :meth:`Engine.run` means the queue
+        drained with processes alive, i.e. a deadlock.
         """
         eng = self.engine
-        fired = 0
         pending = list(procs)
+        live = [p for p in pending if not p.triggered]
         # Completion is counted by callback instead of scanning every
         # process per event — the scan is O(n_ranks) and dominates
         # large-rank jobs.
-        live = [0]
+        left = [len(live)]
 
-        def _done(_event, live=live):
-            live[0] -= 1
+        def _done(_event, left=left):
+            left[0] -= 1
+            if not left[0]:
+                raise _JobDone
 
-        for p in pending:
-            if not p.triggered:
-                live[0] += 1
-                p.add_callback(_done)
-        while live[0] > 0:
-            if eng.peek() == float("inf"):
+        for p in live:
+            p.add_callback(_done)
+        if live:
+            try:
+                eng.run(max_events=max_events)
+            except _JobDone:
+                pass
+            else:
                 alive = [p.name for p in pending if not p.triggered]
                 msg = f"job deadlocked; still alive: {alive}"
                 an = eng.analysis
@@ -370,10 +377,11 @@ class Job:
                     if report:
                         msg += "\n" + report
                 raise SimulationError(msg)
-            if max_events is not None and fired >= max_events:
-                raise eng.budget_error(max_events)
-            eng.step()
-            fired += 1
+            finally:
+                # a job that stopped early leaves no stop hooks behind
+                for p in live:
+                    if not p.triggered:
+                        p.callbacks.remove(_done)
         for p in pending:
             if p.ok is False:
                 raise p.value

@@ -38,12 +38,6 @@ from repro.mpi.requests import Request, RequestState
 from repro.mpi.threading import GlobalLock
 from repro.sim.context import AccumulatingSink, charge_current
 
-#: Route :meth:`MPIRank.isend_batch` wire injection through the vectorized
-#: :meth:`Cluster.send_batch` path. When ``False`` the same messages go out
-#: one :meth:`Cluster.send` at a time with identical per-message departure
-#: delays — the scalar oracle the bit-identity tests toggle against.
-BATCH_WIRE = True
-
 
 class MPIContext:
     """A simulated ``MPI_COMM_WORLD`` over a cluster's placed ranks."""
@@ -161,10 +155,8 @@ class MPIRank:
         Models a batched injection path: the library lock is acquired once
         for ``n * mpi.call`` seconds and message *j* departs when its slice
         of the hold completes, so the grant arithmetic for a single-message
-        batch is bit-identical to :meth:`isend`. The wire side goes through
-        :meth:`Cluster.send_batch` (or the per-message :meth:`Cluster.send`
-        loop when :data:`BATCH_WIRE` is off — same departure delays, same
-        results, which the bit-identity tests assert).
+        batch is bit-identical to :meth:`isend`. Each message then goes out
+        through :meth:`Cluster.send` with its own departure delay.
 
         Any message larger than ``mpi.eager_threshold`` needs the
         rendezvous handshake, which cannot batch; those calls fall back to
@@ -194,24 +186,19 @@ class MPIRank:
         now = self.engine.now
         unit = self._c_call
         grant = self.lock.enter(n * unit, "isend_batch")
-        departs = np.empty(n, dtype=np.float64)
-        msgs: List[Message] = []
+        send = self.cluster.send
+        local_done = []
         for j, (buf, tag, nbytes) in enumerate(zip(bufs, tags, sizes)):
             self.stats_eager += 1
-            # message j leaves the library when its slice of the hold ends
-            departs[j] = (grant.start + (j + 1) * unit) - now
             payload = None if buf is None else np.array(buf, copy=True)
-            msgs.append(Message(
-                self.rank, dest, "mpi", "eager", nbytes + CONTROL_BYTES,
-                payload, meta={"tag": tag},
-            ))
-        if BATCH_WIRE:
-            local_done = self.cluster.send_batch(msgs, depart_delay=departs)
-        else:
-            local_done = [self.cluster.send(m, depart_delay=float(d))
-                          for m, d in zip(msgs, departs)]
+            msg = Message(self.rank, dest, "mpi", "eager",
+                          nbytes + CONTROL_BYTES, payload, meta={"tag": tag})
+            # message j leaves the library when its slice of the hold ends
+            local_done.append(send(msg, (grant.start + (j + 1) * unit) - now))
+        # every send is queued before any request completes, so the
+        # completions take the seq numbers after the wire events
         for req, done in zip(reqs, local_done):
-            req.complete_at(float(done))
+            req.complete_at(done)
         return reqs
 
     # -- rendezvous handshake retry (repro.faults) ---------------------

@@ -15,7 +15,6 @@ which is how the GASPI guarantee "notification arrives after the data, for
 operations posted to the same queue and target" (§II-B) is honoured.
 """
 
-from repro.network.batch import batch_eligible, send_batch
 from repro.network.fabric import Fabric
 from repro.network.message import Message
 from repro.network.topology import Cluster, Node, NetworkStats
@@ -28,8 +27,6 @@ from repro.network.models import (
 
 __all__ = [
     "Fabric",
-    "batch_eligible",
-    "send_batch",
     "Message",
     "Cluster",
     "Node",

@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Fabric:
@@ -74,21 +72,6 @@ class Fabric:
         if intra:
             return nbytes / self.intra_bandwidth
         return self.msg_overhead + nbytes / self.bandwidth
-
-    def serialization_batch(self, nbytes, intra: bool) -> "np.ndarray":
-        """Vectorized :meth:`serialization` over an array of sizes.
-
-        Bit-exact contract: ``serialization_batch(a, i)[k] ==
-        serialization(a[k], i)`` for every element — the expression applies
-        the same IEEE-754 operations in the same order per element
-        (divide, then add the scalar overhead), so the batched wire path
-        produces the same times as a scalar send loop
-        (tests/test_network.py sweeps the eager/rendezvous boundary on
-        both fabrics)."""
-        arr = np.asarray(nbytes, dtype=np.float64)
-        if intra:
-            return arr / self.intra_bandwidth
-        return self.msg_overhead + arr / self.bandwidth
 
     def base_latency(self, intra: bool) -> float:
         return self.intra_latency if intra else self.latency

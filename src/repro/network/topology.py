@@ -17,12 +17,8 @@ The ingress NIC is *receiver-ordered*: the sender only computes the wire
 arrival time and enqueues a timestamped record on the destination node's
 ``pending`` heap; a per-node wake event fires at the earliest pending
 arrival and grants the ingress device in global ``(wire_arrive, src_node,
-send#)`` order. That order is a pure function of the record set — it does
-not depend on which engine (or which *shard*, see :mod:`repro.sim.shard`)
-executes the sends — which is what makes sharded runs bit-identical to the
-single-engine path. Records addressed to a node owned by another shard are
-diverted to ``outbox`` and merged into the owner's heap at the next
-conservative-window barrier.
+send#)`` order. That order is a pure function of the record set: it does
+not depend on how sends from different nodes interleave in the engine.
 
 Delivery order is forced to be monotone per (src_rank, dst_rank) even under
 jitter — a strictly stronger guarantee than GASPI's per-(queue, target)
@@ -76,9 +72,8 @@ class Node:
     device; ``wake_ev``/``wake_time`` track the single scheduled drain wake
     (at the heap head's arrival time). ``out_cnt`` is this node's monotone
     *send* counter (stamped into outgoing records as the tiebreaker), and
-    ``transit_time`` is this node's share of the cluster transit-time sum —
-    kept per node so serial and sharded runs accumulate the float total in
-    the same (node-order) sequence.
+    ``transit_time`` is this node's share of the cluster transit-time sum,
+    accumulated in its own drain order and summed in node order.
     """
 
     __slots__ = ("node_id", "egress", "ingress", "pending", "wake_ev",
@@ -124,14 +119,11 @@ class Cluster:
         self.fabric = fabric
         self.rng = rng
         # One jitter stream per *source node*, spawned deterministically
-        # from the seed stream: a node's draws then depend only on its own
-        # send order, which every shard partition reproduces exactly.
+        # from the seed stream: a node's draws depend only on its own send
+        # order.
         self._jitter_rngs = None if rng is None else rng.spawn(n_nodes)
         self.nodes: List[Node] = [Node(engine, i) for i in range(n_nodes)]
         self._stats = NetworkStats()
-        #: conservative-sync lookahead: no wire record can arrive sooner
-        #: than this after its injection (egress + jitter only add to it)
-        self.lookahead = fabric.base_latency(intra=False)
         self._rank_node: Dict[int, int] = {}
         self._endpoints: Dict[Tuple[int, str], DeliveryHandler] = {}
         # last scheduled delivery time per (src_rank, dst_rank): FIFO guard
@@ -140,11 +132,6 @@ class Cluster:
         # that keeps the channel FIFO under jitter before records are
         # enqueued (receiver-side drains then see monotone channels)
         self._wire_clock: Dict[Tuple[int, int], float] = {}
-        # sharding (configured by repro.sim.shard; None = unsharded, every
-        # node is local and outbox stays empty)
-        self.shard_id = 0
-        self.shard_owner: Optional[List[int]] = None
-        self.outbox: List[WireRecord] = []
         #: installed by repro.faults.FaultInjector.install(); None = perfect
         #: fabric, and send() takes the original zero-overhead path
         self.injector = None
@@ -165,10 +152,7 @@ class Cluster:
         """Aggregate transport statistics.
 
         Counters live in ``_stats``; transit time is accumulated per
-        *destination node* and summed here in node order, so the float
-        total is identical whether one engine or several shards ran the
-        nodes (each node's partial is produced by exactly one shard, in
-        the same per-node accumulation order).
+        *destination node* and summed here in node order.
         """
         st = self._stats
         total = st.total_transit_time
@@ -181,44 +165,6 @@ class Cluster:
             intra_messages=st.intra_messages,
             total_transit_time=total,
         )
-
-    # ------------------------------------------------------------------
-    # sharding (repro.sim.shard)
-    # ------------------------------------------------------------------
-    def configure_sharding(self, shard_owner: List[int], shard_id: int) -> None:
-        """Mark this cluster as one shard of a partitioned run.
-
-        ``shard_owner[node_id]`` names the shard that executes that node's
-        ranks and drains its ingress. Wire records addressed to a foreign
-        node are appended to ``outbox`` instead of the local pending heap;
-        the coordinator ships them to the owner at the next window barrier
-        via :meth:`inject_arrivals`.
-        """
-        if len(shard_owner) != len(self.nodes):
-            raise SimulationError(
-                f"shard_owner has {len(shard_owner)} entries for "
-                f"{len(self.nodes)} nodes"
-            )
-        self.shard_owner = list(shard_owner)
-        self.shard_id = shard_id
-
-    def take_outbox(self) -> List[WireRecord]:
-        """Drain and return the cross-shard records produced so far."""
-        out, self.outbox = self.outbox, []
-        return out
-
-    def inject_arrivals(self, records: List[WireRecord]) -> None:
-        """Merge wire records produced by other shards.
-
-        Records must carry arrival times ``>= engine.now`` (the window
-        protocol guarantees ``>= T_end`` of the window about to run).
-        """
-        for rec in records:
-            dst_node = self.node_of(rec[4].dst_rank)
-            node = self.nodes[dst_node]
-            heappush(node.pending, rec)
-            if rec[0] < node.wake_time:
-                self._arm_wake(node, rec[0])
 
     # ------------------------------------------------------------------
     # placement
@@ -374,10 +320,6 @@ class Cluster:
     # receiver-ordered ingress
     # ------------------------------------------------------------------
     def _enqueue_record(self, dst_node: int, rec: WireRecord) -> None:
-        owner = self.shard_owner
-        if owner is not None and owner[dst_node] != self.shard_id:
-            self.outbox.append(rec)
-            return
         node = self.nodes[dst_node]
         heappush(node.pending, rec)
         if rec[0] < node.wake_time:
@@ -408,13 +350,14 @@ class Cluster:
     def _drain(self, node: Node) -> None:
         """Grant the ingress NIC to every record that has reached the wire.
 
-        Runs at the pending heap head's exact arrival time and pops
-        strictly ``wire_arrive <= now`` — never further, even though the
-        lookahead bounds future arrivals: draining ahead of the clock
-        would let one shard's grant scan run ahead of records another
-        shard has yet to publish. Popping in heap order makes the global
-        ingress grant sequence ``(wire_arrive, src_node, send#)``-sorted,
-        a pure function of the record set.
+        Runs at the pending heap head's exact arrival time and pops only
+        records with ``wire_arrive <= now``: a send executed later may
+        still enqueue a record that arrives before the remaining ones.
+        Popping in heap order makes the global ingress grant sequence
+        ``(wire_arrive, src_node, send#)``-sorted, a pure function of the
+        record set. Each granted record is scheduled with
+        :meth:`Engine.schedule_at` at its exact delivery time, in drain
+        order, so the block takes consecutive ``seq`` numbers.
         """
         eng = self.engine
         now = eng.now
@@ -425,8 +368,7 @@ class Cluster:
         clock = self._channel_clock
         tr = eng.tracer
         transit = node.transit_time
-        times: List[float] = []
-        events: List[Event] = []
+        schedule_at = eng.schedule_at
         new = Event.__new__
         while pending and pending[0][0] <= now:
             w, _src, _cnt, ser, msg, local_done = heappop(pending)
@@ -455,51 +397,14 @@ class Cluster:
             ev._scheduled = True
             ev._defused = False
             ev._cancelled = False
-            times.append(arrive)
-            events.append(ev)
+            schedule_at(ev, arrive)
         node.transit_time = transit
-        if len(times) == 1:
-            eng.schedule_at(events[0], times[0])
-        elif times:
-            # Ingress grant ends are non-decreasing in drain order, so the
-            # block is already sorted for the timeline lane.
-            eng.schedule_batch(np.asarray(times, dtype=np.float64), events)
         if pending:
             self._arm_wake(node, pending[0][0])
 
-    def send_batch(self, msgs: List[Message],
-                   depart_delay=0.0) -> "np.ndarray":
-        """Inject a batch of messages; returns the per-message
-        local-completion times as a float64 array.
-
-        ``depart_delay`` is a scalar applied to every message (the whole
-        batch departs at one instant) or a float64 array of per-message
-        delays — non-decreasing, as produced by back-to-back lock grants.
-
-        Observably identical to ``[self.send(m, d) for m, d in
-        zip(msgs, delays)]`` — same wire records and delivery order,
-        stats, and RNG stream (see :mod:`repro.network.batch` for the
-        bit-exactness argument). The vectorized path requires a single
-        (src_rank, dst_rank, protocol) channel and no per-message
-        observers (tracer, analysis pipeline, active fault plan);
-        anything else falls back to the exact per-message loop.
-        """
-        from repro.network.batch import batch_eligible, send_batch
-
-        if batch_eligible(self, msgs):
-            return send_batch(self, msgs, depart_delay)
-        if isinstance(depart_delay, np.ndarray):
-            return np.asarray(
-                [self.send(m, float(d)) for m, d in zip(msgs, depart_delay)],
-                dtype=np.float64,
-            )
-        return np.asarray(
-            [self.send(m, depart_delay) for m in msgs], dtype=np.float64
-        )
-
     def _deliver_event(self, ev) -> None:
-        """Delivery callback used by the batched wire path: the message
-        rides in the event's value slot instead of a per-message closure."""
+        """Delivery callback of the ingress drain: the message rides in the
+        event's value slot instead of a per-message closure."""
         self._deliver(ev._value)
 
     def _deliver(self, msg: Message) -> None:
@@ -673,7 +578,7 @@ class Cluster:
         # Lognormal noise scaled to the base latency; mean ≈ 0 shift so the
         # configured latency stays the central value. Drawn from the source
         # node's own spawned stream: the draw sequence then depends only on
-        # that node's send order, which is shard-partition-invariant.
+        # that node's send order.
         base = self.fabric.latency
         sigma = rel
         sample = rngs[src_node].lognormal(mean=0.0, sigma=sigma)

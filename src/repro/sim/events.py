@@ -92,14 +92,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._scheduled = True
-        eng = self.engine
-        # Sticky failure marker plus a generation bump: the batched
-        # engine's failure-free drain skips the per-event lost-error
-        # check, so a failure appended mid-run must force the in-flight
-        # drain to re-derive its state (see engine.py).
-        eng._failed = True
-        eng._qgen += 1
-        eng.schedule(self, delay)
+        self.engine.schedule(self, delay)
         return self
 
     def cancel(self) -> bool:
@@ -120,11 +113,7 @@ class Event:
         if not self._scheduled:
             raise SimulationError(f"cannot cancel unscheduled {self!r}")
         self._cancelled = True
-        eng = self.engine
-        eng._cancelled += 1
-        # A corpse invalidates the batched engine's corpse-free drain;
-        # the generation bump makes an in-flight run re-derive its state.
-        eng._qgen += 1
+        self.engine._cancelled += 1
         return True
 
     def _fire(self) -> None:

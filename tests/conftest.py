@@ -30,19 +30,36 @@ def cluster4(engine):
     return cl
 
 
+class _AllDone(Exception):
+    """Raised by the completion callback of the last live process."""
+
+
 def run_all(engine, procs, max_events=2_000_000):
-    """Step the engine until every process in ``procs`` terminated; raise
+    """Run the engine until every process in ``procs`` terminated; raise
     the first failure encountered."""
     pending = list(procs)
-    fired = 0
-    while any(not p.triggered for p in pending):
-        if engine.peek() == float("inf"):
+    live = [p for p in pending if not p.triggered]
+    left = [len(live)]
+
+    def _done(_event):
+        left[0] -= 1
+        if not left[0]:
+            raise _AllDone
+
+    for p in live:
+        p.add_callback(_done)
+    if live:
+        try:
+            engine.run(max_events=max_events)
+        except _AllDone:
+            pass
+        else:
             alive = [p.name for p in pending if not p.triggered]
             raise AssertionError(f"deadlock: processes still alive: {alive}")
-        engine.step()
-        fired += 1
-        if fired > max_events:
-            raise AssertionError("event budget exceeded")
+        finally:
+            for p in live:
+                if not p.triggered:
+                    p.callbacks.remove(_done)
     for p in pending:
         if p.ok is False:
             raise p.value

@@ -132,6 +132,54 @@ class TestReport:
         assert rows[1].split() == ["x", "-"]
 
 
+class TestJobRunStopPoint:
+    """Job.run stops right after the last rank's completion event fires,
+    although the TAMPI/TAGASPI pollers keep the queue non-empty forever.
+    The event counts and sim times are pinned to the values the
+    peek()/step() driver loop produced, so the stop point cannot drift."""
+
+    @pytest.mark.parametrize("variant,sim_time,events", [
+        ("tampi", 0.00013582283302730956, 1009),
+        ("tagaspi", 0.00013717, 882),
+    ], ids=["tampi", "tagaspi"])
+    def test_hybrid_job_stops_at_last_rank(self, variant, sim_time, events):
+        from repro.apps.gauss_seidel import GSParams
+        from repro.apps.gauss_seidel.variants import (
+            make_storages, tagaspi_main, tampi_main)
+
+        main = {"tampi": tampi_main, "tagaspi": tagaspi_main}[variant]
+        params = GSParams(rows=128, cols=256, timesteps=3, block_size=32,
+                          compute_data=False)
+        job = build_job(JobSpec(machine=MARENOSTRUM4.with_cores(4),
+                                n_nodes=2, variant=variant,
+                                poll_period_us=5, seed=1))
+        procs = [main(job, params, st) for st in make_storages(job, params)]
+        assert job.run(procs) == sim_time
+        assert job.engine.now == sim_time
+        assert job.engine.event_count == events
+        # a poller is still queued: the loop did not stop by draining
+        assert job.engine.queue_depth > 0
+
+    def test_stopped_job_leaves_no_stop_hook(self):
+        """A job that ended on its budget detaches its completion hooks,
+        so running the engine on afterwards finishes normally."""
+        from repro.sim import SimulationError
+
+        job = build_job(JobSpec(machine=MARENOSTRUM4, n_nodes=1,
+                                variant="mpi"))
+        eng = job.engine
+
+        def ticker():
+            for _ in range(5):
+                yield eng.timeout(1e-6)
+
+        proc = eng.process(ticker())
+        with pytest.raises(SimulationError, match="budget"):
+            job.run([proc], max_events=2)
+        eng.run()
+        assert proc.ok and eng.now == pytest.approx(5e-6)
+
+
 class TestJobRunBudget:
     """Job.run's event budget must follow the Engine.run convention: a
     budget of N allows exactly N events to fire before raising."""

@@ -214,125 +214,3 @@ class TestTransport:
         cl.send(Message(0, 1, "t", "k", 0))
         eng.run()
         assert out[0] == pytest.approx(1e-6)  # pure alpha
-
-
-class TestBatchWirePath:
-    """The vectorized wire path (repro.network.batch) must be observably
-    bit-identical to a scalar ``send()`` loop — times, stats, RNG stream,
-    delivery order — with the scalar path on the object engine as oracle."""
-
-    SIZES = [0, 1, 10, 64, 65, 1000, 4096, 10_000, 262_144, 1 << 20]
-
-    def test_serialization_batch_equals_scalar_everywhere(self):
-        # sweep both machine fabrics across the eager/rendezvous boundary
-        # and several orders of magnitude; equality must be exact, not
-        # approximate — the batched wire path inherits its bit-exactness
-        # from this method
-        for fab in (OMNIPATH, INFINIBAND, make_fabric(msg_overhead=3e-7)):
-            thr = int(fab.cost("mpi.eager_threshold", 16384))
-            sizes = sorted(set(self.SIZES + [thr - 1, thr, thr + 1]))
-            for intra in (False, True):
-                batch = fab.serialization_batch(sizes, intra=intra)
-                scalar = [fab.serialization(s, intra=intra) for s in sizes]
-                assert batch.tolist() == scalar
-
-    @staticmethod
-    def _msgs(intra, n=40):
-        dst = 1 if intra else 2
-        sizes = TestBatchWirePath.SIZES
-        return [Message(0, dst, "t", f"k{i}", sizes[i % len(sizes)])
-                for i in range(n)]
-
-    @staticmethod
-    def _cluster(engine_cls, seed=None, tracer=None):
-        f = make_fabric(msg_overhead=2e-8,
-                        sw={"t.jitter": 0.3, "t.bw_factor": 1.25})
-        eng = engine_cls(tracer=tracer)
-        rng = None if seed is None else np.random.default_rng(seed)
-        cl = Cluster(eng, 2, f, rng=rng)
-        cl.place_ranks_block(4, 2)  # ranks 0,1 on node 0; 2,3 on node 1
-        return eng, cl
-
-    @classmethod
-    def _drive(cls, engine_cls, intra, seed, use_batch):
-        eng, cl = cls._cluster(engine_cls, seed=seed)
-        dst = 1 if intra else 2
-        delivered = []
-        cl.register_endpoint(dst, "t",
-                             lambda m: delivered.append((m.kind, eng.now)))
-        msgs = cls._msgs(intra)
-        if use_batch:
-            local_done = cl.send_batch(msgs)
-        else:
-            local_done = np.asarray([cl.send(m) for m in msgs])
-        eng.run()
-        eg = cl.nodes[0].egress.stats
-        ing = cl.nodes[cl.node_of(dst)].ingress.stats
-        return {
-            "local_done": local_done.tolist(),
-            "injected": [m.injected_at for m in msgs],
-            "delivered": delivered,
-            "now": eng.now,
-            "events": eng.event_count,
-            "net": (cl.stats.messages, cl.stats.bytes,
-                    cl.stats.control_messages, cl.stats.intra_messages,
-                    cl.stats.total_transit_time),
-            "egress": (eg.acquisitions, eg.contended_acquisitions,
-                       eg.total_wait_time, eg.total_hold_time),
-            "ingress": (ing.acquisitions, ing.contended_acquisitions,
-                        ing.total_wait_time, ing.total_hold_time),
-            "clock": dict(cl._channel_clock),
-        }
-
-    @pytest.mark.parametrize("intra", [False, True])
-    @pytest.mark.parametrize("seed", [None, 42])
-    def test_send_batch_matches_scalar_loop_bit_for_bit(self, intra, seed):
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        oracle = self._drive(ObjectEngine, intra, seed, use_batch=False)
-        batched = self._drive(BatchedEngine, intra, seed, use_batch=True)
-        assert batched == oracle
-        # and batch vs scalar on the *same* engine class
-        assert self._drive(BatchedEngine, intra, seed, use_batch=False) == oracle
-
-    def test_fallback_on_mixed_channels(self):
-        from repro.network import batch_eligible
-
-        eng, cl = self._cluster(Engine, seed=3)
-        got = []
-        for dst in (1, 2, 3):
-            cl.register_endpoint(dst, "t", lambda m: got.append(m.kind))
-        msgs = [Message(0, 1 + i % 3, "t", f"k{i}", 100) for i in range(9)]
-        assert not batch_eligible(cl, msgs)
-        done = cl.send_batch(msgs)  # falls back to the per-message loop
-        eng.run()
-        assert len(done) == 9 and sorted(got) == sorted(m.kind for m in msgs)
-
-    def test_fallback_when_tracer_active(self):
-        from repro.network import batch_eligible
-        from repro.trace import Tracer
-
-        eng, cl = self._cluster(Engine, tracer=Tracer(progress_every=None))
-        msgs = self._msgs(False, n=4)
-        assert not batch_eligible(cl, msgs)
-        got = []
-        cl.register_endpoint(2, "t", lambda m: got.append(m.kind))
-        cl.send_batch(msgs)
-        eng.run()
-        assert got == [m.kind for m in msgs]
-
-    def test_empty_batch_not_eligible(self):
-        from repro.network import batch_eligible
-
-        _, cl = self._cluster(Engine)
-        assert not batch_eligible(cl, [])
-
-    def test_depart_delay_applies_to_whole_batch(self):
-        eng, cl = self._cluster(Engine)
-        scalar_eng, scalar_cl = self._cluster(Engine)
-        msgs = self._msgs(False, n=8)
-        smsgs = self._msgs(False, n=8)
-        done = cl.send_batch(msgs, depart_delay=1e-3)
-        sdone = np.asarray([scalar_cl.send(m, 1e-3) for m in smsgs])
-        assert done.tolist() == sdone.tolist()
-        assert all(m.injected_at == 1e-3 for m in msgs)

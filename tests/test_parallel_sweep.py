@@ -120,6 +120,38 @@ class TestResultCache:
         assert cache.stats.hits == 0
         assert len(cache) == 2
 
+    def test_model_code_edit_misses(self, tmp_path, monkeypatch):
+        """Editing a model source file changes every cache key, so a result
+        computed by the old code is never served; editing code outside the
+        model (here the bench CLI) leaves the keys alone."""
+        import shutil
+
+        import repro
+        from repro.harness import parallel
+
+        root = tmp_path / "repro"
+        shutil.copytree(os.path.dirname(repro.__file__), root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = parallel.source_fingerprint(str(root))
+        assert before == parallel.model_fingerprint()
+        with open(root / "bench" / "cli.py", "a") as fh:
+            fh.write("\n# not model code\n")
+        assert parallel.source_fingerprint(str(root)) == before
+        with open(root / "network" / "fabric.py", "a") as fh:
+            fh.write("\n# edited\n")
+        after = parallel.source_fingerprint(str(root))
+        assert after != before
+
+        cache = ResultCache(str(tmp_path / "cache"))
+        points = _points(variants=("mpi",))
+        SweepExecutor(cache=cache).map(points)
+        monkeypatch.setattr(parallel, "model_fingerprint", lambda: after)
+        edited = SweepExecutor(cache=cache)
+        edited.map(points)
+        assert edited.executed_points == 1
+        assert cache.stats.hits == 0
+        assert len(cache) == 2
+
     def test_schema_mismatch_invalidates_file(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         pt = _points(variants=("mpi",))[0]

@@ -306,32 +306,28 @@ class TestEngineOrderingProperties:
 
 
 class TestEngineDifferentialOracle:
-    """BatchedEngine vs ObjectEngine: the batched lanes must be *observably
-    bit-identical* to the heap-only engine — same fire order, same clock at
-    every fire, same queue_depth/peek seen from inside callbacks, same
-    event_count. The object engine is the oracle for the batched fast
-    paths (delay-0 FIFO lane, timeline lane, strict/corpse-free drains)."""
+    """Engine vs the frozen single-heap LegacyEngine (repro.bench.legacy):
+    the delay-0 FIFO lane must be *observably identical* to one heap —
+    same fire order, same clock and same peek() seen from inside every
+    callback, same event_count. LegacyEngine has no cancellation, so
+    cancels and failures are covered by TestEngineOrderingProperties and
+    tests/test_sim_engine.py."""
 
     @staticmethod
-    def _run_storm(engine_cls, specs):
-        from repro.sim import BatchedEngine, ObjectEngine  # noqa: F401
-        from repro.sim.events import Event
-
+    def _run_storm(engine_cls, event_cls, specs):
         eng = engine_cls()
         log = []
 
-        def spawn(label, delay, prio, children, child_delay, cancel):
-            ev = Event(eng)
+        def spawn(label, delay, prio, children, child_delay):
+            ev = event_cls(eng)
 
             def on_fire(e):
-                log.append((label, eng.now, eng.queue_depth, eng.peek()))
+                log.append((label, eng.now, eng.peek()))
                 for c in range(children):
-                    spawn(f"{label}.{c}", child_delay, 0, 0, 0.0, False)
+                    spawn(f"{label}.{c}", child_delay, 0, 0, 0.0)
 
-            ev.add_callback(on_fire)
+            ev.callbacks.append(on_fire)
             ev.succeed(delay=delay, priority=prio)
-            if cancel:
-                ev.cancel()
 
         for i, spec in enumerate(specs):
             spawn(str(i), *spec)
@@ -343,95 +339,11 @@ class TestEngineDifferentialOracle:
         st.sampled_from([-1, 0, 0, 1]),           # priority
         st.integers(0, 2),                        # children spawned on fire
         st.sampled_from([0.0, 0.5]),              # child delay
-        st.booleans(),                            # cancel right away?
     ), min_size=1, max_size=30))
     @settings(max_examples=150, deadline=None)
-    def test_storms_cancellations_priorities_identical(self, specs):
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        assert (self._run_storm(BatchedEngine, specs)
-                == self._run_storm(ObjectEngine, specs))
-
-    @staticmethod
-    def _run_batches(engine_cls, batches, cancels):
+    def test_delay0_priority_storms_match_legacy(self, specs):
+        from repro.bench.legacy import LegacyEngine, LegacyEvent
         from repro.sim.events import Event
 
-        eng = engine_cls()
-        log = []
-        table = []  # [batch][i] -> Event
-
-        def make(label):
-            ev = Event(eng)
-
-            def on_fire(e):
-                log.append((label, eng.now, eng.queue_depth, eng.peek()))
-
-            ev.add_callback(on_fire)
-            return ev
-
-        for b, offsets in enumerate(batches):
-            evs = [make(f"{b}/{i}") for i in range(len(offsets))]
-            for ev in evs:
-                ev._scheduled = True  # wire-path convention
-            eng.schedule_batch(sorted(offsets), evs)
-            table.append(evs)
-        # cancels fired from inside callbacks: (src_b, src_i, dst_b, dst_i)
-        for sb, si, db, di in cancels:
-            sb %= len(table)
-            si %= len(table[sb])
-            db %= len(table)
-            di %= len(table[db])
-            target = table[db][di]
-            table[sb][si].add_callback(
-                lambda e, t=target: (not t._triggered and not t._cancelled
-                                     and t.cancel()))
-        eng.run()
-        return log, eng.now, eng.event_count
-
-    @given(
-        st.lists(st.lists(st.sampled_from([0.0, 0.5, 0.5, 1.0, 2.0]),
-                          min_size=1, max_size=8),
-                 min_size=1, max_size=5),
-        st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10),
-                           st.integers(0, 10), st.integers(0, 10)),
-                 max_size=6),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_schedule_batch_with_cancel_inside_batch_identical(
-            self, batches, cancels):
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        assert (self._run_batches(BatchedEngine, batches, cancels)
-                == self._run_batches(ObjectEngine, batches, cancels))
-
-    @staticmethod
-    def _run_failures(engine_cls, specs):
-        from repro.sim.events import Event
-
-        eng = engine_cls()
-        log = []
-        for i, (delay, prio, fails) in enumerate(specs):
-            ev = Event(eng)
-            ev.add_callback(lambda e, i=i: log.append(
-                (i, e._ok, eng.now, eng.queue_depth)))
-            if fails:
-                ev.fail(ValueError(str(i)), delay=delay)
-                ev._defused = True  # observed via the log, not raised
-            else:
-                ev.succeed(delay=delay, priority=prio)
-        eng.run()
-        return log, eng.now, eng.event_count
-
-    @given(st.lists(st.tuples(
-        st.sampled_from([0.0, 0.0, 1.0]),
-        st.sampled_from([-1, 0, 0]),
-        st.booleans(),                            # fail() instead of succeed()
-    ), min_size=1, max_size=25))
-    @settings(max_examples=100, deadline=None)
-    def test_failed_events_identical(self, specs):
-        """fail() disables the failure-free drain mid-run; the observable
-        schedule must not change."""
-        from repro.sim import BatchedEngine, ObjectEngine
-
-        assert (self._run_failures(BatchedEngine, specs)
-                == self._run_failures(ObjectEngine, specs))
+        assert (self._run_storm(Engine, Event, specs)
+                == self._run_storm(LegacyEngine, LegacyEvent, specs))

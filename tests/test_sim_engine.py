@@ -258,6 +258,32 @@ class TestProcesses:
         with pytest.raises(SimulationError, match="waited on itself"):
             eng.run_until_complete(holder["proc"])
 
+    def test_run_until_complete_stops_with_events_still_queued(self):
+        eng = Engine()
+        eng.timeout(10.0)  # outlives the process, like a poller
+
+        def body():
+            yield eng.timeout(1.0)
+            return "done"
+
+        assert eng.run_until_complete(eng.process(body())) == "done"
+        assert eng.now == 1.0
+        assert eng.queue_depth == 1
+
+    def test_run_until_complete_budget_leaves_no_stop_hook(self):
+        eng = Engine()
+
+        def body():
+            for _ in range(3):
+                yield eng.timeout(1.0)
+            return 7
+
+        proc = eng.process(body())
+        with pytest.raises(SimulationError, match="budget"):
+            eng.run_until_complete(proc, max_events=2)
+        eng.run()  # the process finishes without tripping a stale hook
+        assert proc.value == 7
+
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_traces(self):
@@ -426,133 +452,6 @@ class TestImmediateLane:
         eng.run()
         assert eng.event_count == 2
 
-
-class TestScheduleBatch:
-    """Bulk insertion must be observably identical to a schedule() loop,
-    and lazy cancellation must keep queue_depth/peek O(live) accurate."""
-
-    @staticmethod
-    def _batch_events(eng, n, order, labels=None):
-        evs = []
-        for i in range(n):
-            ev = Event(eng)
-            label = labels[i] if labels else i
-            ev.add_callback(lambda e, l=label: order.append(l))
-            ev._scheduled = True  # the wire path marks batch events itself
-            evs.append(ev)
-        return evs
-
-    def test_batch_fires_interleaved_with_heap_and_lane(self):
-        eng = Engine()
-        order = []
-        eng.timeout(1.0).add_callback(lambda e: order.append("t1"))
-        eng.timeout(3.0).add_callback(lambda e: order.append("t3"))
-        imm = Event(eng)
-        imm.add_callback(lambda e: order.append("imm"))
-        imm.succeed()  # lane entry at t=0
-        evs = self._batch_events(eng, 3, order, labels=["b0.5", "b2a", "b2b"])
-        eng.schedule_batch([0.5, 2.0, 2.0], evs)
-        assert eng.run() == 3.0
-        assert order == ["imm", "b0.5", "t1", "b2a", "b2b", "t3"]
-
-    def test_batch_equivalent_to_schedule_loop(self):
-        times = [0.0, 0.0, 1.5, 1.5, 2.0]
-
-        def drive(use_batch):
-            eng = Engine()
-            order = []
-            eng.timeout(1.5).add_callback(lambda e: order.append("timer"))
-            evs = self._batch_events(eng, len(times), order)
-            if use_batch:
-                eng.schedule_batch(times, evs)
-            else:
-                for t, ev in zip(times, evs):
-                    eng.schedule(ev, t - eng.now)
-            eng.run()
-            return order, eng.now, eng.event_count
-
-        assert drive(True) == drive(False)
-
-    def test_empty_batch_is_noop(self):
-        eng = Engine()
-        eng.schedule_batch([], [])
-        assert eng.queue_depth == 0
-        assert eng.run() == 0.0
-
-    def test_empty_batch_keeps_qgen_on_both_engines(self):
-        # regression: ObjectEngine used to bump _qgen on empty batches
-        # while BatchedEngine early-returned, desyncing the generation
-        # counters the differential oracle compares
-        from repro.sim.engine import BatchedEngine, ObjectEngine
-
-        for cls in (BatchedEngine, ObjectEngine):
-            eng = cls()
-            gen = eng._qgen
-            eng.schedule_batch([], [])
-            assert eng._qgen == gen, cls.__name__
-            assert eng.queue_depth == 0
-
-    def test_batch_diagnosis_matches_on_both_engines(self):
-        # the indexed error text is part of the cross-engine contract —
-        # shard-boundary batch bugs must read the same under either engine
-        from repro.sim.engine import BatchedEngine, ObjectEngine
-
-        texts = {}
-        for cls in (BatchedEngine, ObjectEngine):
-            eng = cls()
-            evs = self._batch_events(eng, 3, [])
-            with pytest.raises(SimulationError) as exc:
-                eng.schedule_batch([1.0, 3.0, 2.0], evs)
-            texts[cls.__name__] = str(exc.value)
-        assert texts["BatchedEngine"] == texts["ObjectEngine"]
-        assert "times[2]" in texts["BatchedEngine"]
-
-    def test_batch_validation(self):
-        eng = Engine()
-        evs = self._batch_events(eng, 2, [])
-        with pytest.raises(SimulationError, match="times for"):
-            eng.schedule_batch([1.0], evs)
-        # the diagnosis names the offending index and the violated rule
-        for bad, rx in (
-            ([2.0, 1.0], r"times\[1\].*decreases from times\[0\]"),
-            ([-1.0, 1.0], r"times\[0\].*< now"),
-            ([1.0, float("nan")], r"times\[1\].*not finite"),
-            ([1.0, float("inf")], r"times\[1\].*not finite"),
-        ):
-            with pytest.raises(SimulationError, match=rx):
-                eng.schedule_batch(bad, evs)
-
-    def test_out_of_order_second_batch_stays_sorted(self):
-        # A second batch starting before the queued tail of the first must
-        # not break the total order (the batched engine reroutes it).
-        eng = Engine()
-        order = []
-        a = self._batch_events(eng, 2, order, labels=["a5", "a6"])
-        eng.schedule_batch([5.0, 6.0], a)
-        b = self._batch_events(eng, 2, order, labels=["b1", "b2"])
-        eng.schedule_batch([1.0, 2.0], b)
-        assert eng.run() == 6.0
-        assert order == ["b1", "b2", "a5", "a6"]
-
-    def test_cancel_inside_batch(self):
-        """A callback cancelling a later same-timestamp batch member must
-        suppress it mid-drain, and depth/peek must exclude the corpse."""
-        eng = Engine()
-        order = []
-        evs = self._batch_events(eng, 4, order)
-        eng.schedule_batch([1.0, 1.0, 1.0, 2.0], evs)
-        # first member kills the third (same timestamp, already queued)
-        evs[0].add_callback(lambda e: evs[2].cancel())
-        depths = []
-        evs[1].add_callback(lambda e: depths.append((eng.queue_depth,
-                                                     eng.peek())))
-        assert eng.run() == 2.0
-        assert order == [0, 1, 3]
-        # observed mid-run, after the cancel: only evs[3] is live
-        assert depths == [(1, 2.0)]
-        assert eng.queue_depth == 0
-        assert eng.event_count == 3
-
     def test_cancel_inside_lane_drain(self):
         """Same-instant FIFO lane: cancelling a not-yet-fired lane entry
         from a lane callback must take effect within the drain."""
@@ -570,22 +469,8 @@ class TestScheduleBatch:
         assert order == [0, 1, 3]
         assert eng.event_count == 3
 
-    def test_batch_corpses_invisible_to_depth_and_peek(self):
-        eng = Engine()
-        evs = self._batch_events(eng, 3, [])
-        eng.schedule_batch([1.0, 2.0, 3.0], evs)
-        assert eng.queue_depth == 3
-        evs[0].cancel()
-        assert eng.queue_depth == 2
-        assert eng.peek() == 2.0  # head corpse skipped
-        evs[1].cancel()
-        evs[2].cancel()
-        assert eng.queue_depth == 0
-        assert eng.peek() == float("inf")
-        assert eng.run() == 0.0
-
     def test_fail_inside_lane_drain_surfaces(self):
-        """fail() invalidates the failure-free lane drain mid-run."""
+        """A failure appended to the lane mid-run is raised when it fires."""
         eng = Engine()
         fired = []
         boom = Event(eng)
@@ -598,3 +483,93 @@ class TestScheduleBatch:
         with pytest.raises(RuntimeError, match="late"):
             eng.run()
         assert fired == ["tail"]  # tail (seq 2) fires before boom (seq 3)
+
+
+class TestScheduleAt:
+    """Absolute-time scheduling, as the ingress drain uses it: one call per
+    delivery, in drain order, so a same-time block fires in seq order."""
+
+    @staticmethod
+    def _events(eng, n, order, labels=None):
+        evs = []
+        for i in range(n):
+            ev = Event(eng)
+            label = labels[i] if labels else i
+            ev.add_callback(lambda e, l=label: order.append(l))
+            ev._scheduled = True  # the drain marks its events itself
+            evs.append(ev)
+        return evs
+
+    def test_interleaves_with_heap_and_lane(self):
+        eng = Engine()
+        order = []
+        eng.timeout(1.0).add_callback(lambda e: order.append("t1"))
+        eng.timeout(3.0).add_callback(lambda e: order.append("t3"))
+        imm = Event(eng)
+        imm.add_callback(lambda e: order.append("imm"))
+        imm.succeed()  # lane entry at t=0
+        evs = self._events(eng, 3, order, labels=["a0.5", "a2a", "a2b"])
+        for t, ev in zip([0.5, 2.0, 2.0], evs):
+            eng.schedule_at(ev, t)
+        assert eng.run() == 3.0
+        assert order == ["imm", "a0.5", "t1", "a2a", "a2b", "t3"]
+
+    def test_equivalent_to_relative_schedule_loop(self):
+        times = [0.0, 0.0, 1.5, 1.5, 2.0]
+
+        def drive(absolute):
+            eng = Engine()
+            order = []
+            eng.timeout(1.5).add_callback(lambda e: order.append("timer"))
+            evs = self._events(eng, len(times), order)
+            for t, ev in zip(times, evs):
+                if absolute:
+                    eng.schedule_at(ev, t)
+                else:
+                    eng.schedule(ev, t - eng.now)
+            eng.run()
+            return order, eng.now, eng.event_count
+
+        assert drive(True) == drive(False)
+
+    @pytest.mark.parametrize("t", [-1.0, float("inf"), float("nan")])
+    def test_rejects_past_and_non_finite_times(self, t):
+        eng = Engine()
+        (ev,) = self._events(eng, 1, [])
+        with pytest.raises(SimulationError, match="schedule_at"):
+            eng.schedule_at(ev, t)
+
+    def test_cancel_inside_same_time_block(self):
+        """A callback cancelling a later same-timestamp block member must
+        suppress it, and depth/peek must exclude the corpse."""
+        eng = Engine()
+        order = []
+        evs = self._events(eng, 4, order)
+        for t, ev in zip([1.0, 1.0, 1.0, 2.0], evs):
+            eng.schedule_at(ev, t)
+        # first member kills the third (same timestamp, already queued)
+        evs[0].add_callback(lambda e: evs[2].cancel())
+        depths = []
+        evs[1].add_callback(lambda e: depths.append((eng.queue_depth,
+                                                     eng.peek())))
+        assert eng.run() == 2.0
+        assert order == [0, 1, 3]
+        # observed mid-run, after the cancel: only evs[3] is live
+        assert depths == [(1, 2.0)]
+        assert eng.queue_depth == 0
+        assert eng.event_count == 3
+
+    def test_corpses_invisible_to_depth_and_peek(self):
+        eng = Engine()
+        evs = self._events(eng, 3, [])
+        for t, ev in zip([1.0, 2.0, 3.0], evs):
+            eng.schedule_at(ev, t)
+        assert eng.queue_depth == 3
+        evs[0].cancel()
+        assert eng.queue_depth == 2
+        assert eng.peek() == 2.0  # head corpse skipped
+        evs[1].cancel()
+        evs[2].cancel()
+        assert eng.queue_depth == 0
+        assert eng.peek() == float("inf")
+        assert eng.run() == 0.0
