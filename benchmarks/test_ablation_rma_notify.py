@@ -45,8 +45,7 @@ def _mpi_rma_pattern(n):
 
     p0 = MPIProcDriver(mpi.rank(0)).spawn(origin)
     p1 = MPIProcDriver(mpi.rank(1)).spawn(target)
-    while not (p0.triggered and p1.triggered):
-        eng.step()
+    eng.run_until_complete([p0, p1])
     return eng.now / ITERS
 
 
@@ -72,8 +71,7 @@ def _gaspi_pattern(n):
 
     pc = eng.process(consumer())
     pp = eng.process(producer())
-    while not (pc.triggered and pp.triggered):
-        eng.step()
+    eng.run_until_complete([pc, pp])
     return eng.now / ITERS
 
 

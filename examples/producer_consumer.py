@@ -81,8 +81,7 @@ def main():
 
     p0 = rt0.spawn_main(sender_main)
     p1 = rt1.spawn_main(receiver_main)
-    while not (p0.triggered and p1.triggered):
-        eng.step()
+    eng.run_until_complete([p0, p1])
 
     print("iteration  received  notified-value")
     for i, val, nv in log:

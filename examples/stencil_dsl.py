@@ -93,8 +93,7 @@ class StencilProgram:
             return main
 
         procs = [rts[r].spawn_main(make_main(r)) for r in range(self.n_ranks)]
-        while not all(p.triggered for p in procs):
-            eng.step()
+        eng.run_until_complete(procs)
         out = np.concatenate([b[2:-2] for b in locals_])
         return out, eng.now
 

@@ -28,7 +28,6 @@ from repro.harness.machines import Machine
 from repro.mpi import MPIContext, MPIProcDriver
 from repro.network import Cluster
 from repro.sim import Engine, derive_rng
-from repro.sim.engine import SimulationError
 from repro.tampi import TAMPI
 from repro.tasking import Runtime, RuntimeConfig
 from repro.trace import MetricsRegistry, Tracer
@@ -36,11 +35,6 @@ from repro.trace import MetricsRegistry, Tracer
 
 class VariantError(ValueError):
     """Unknown or inconsistent variant configuration."""
-
-
-class _JobDone(Exception):
-    """Raised by the completion callback of a job's last live process to
-    leave the engine's run loop (see :meth:`Job.run`)."""
 
 
 VARIANTS = ("mpi", "tampi", "tagaspi")
@@ -73,10 +67,11 @@ class JobSpec:
     #: :class:`repro.analysis.AnalysisError` on any error-severity finding.
     #: Checked runs are bit-identical to unchecked ones.
     check: Optional[str] = None
-    #: post-mortem performance diagnosis (repro.perf): when True the app
-    #: runner traces the run (if no tracer was passed in) and merges the
-    #: ``perf_*`` metrics into ``VariantResult.extra``. Tracing is passive,
-    #: so a ``perf=True`` run is bit-identical in sim time to a plain one.
+    #: post-mortem performance diagnosis (repro.perf): when True the job
+    #: traces the run (if no tracer was passed in) and the app runner
+    #: merges :meth:`Job.perf_metrics` into ``VariantResult.extra``.
+    #: Tracing is passive, so a ``perf=True`` run is bit-identical in sim
+    #: time to a plain one.
     perf: bool = False
     #: collective-communication substrate for apps built on
     #: ``repro.collectives`` (``"twosided"``, ``"rma"``, ``"gaspi"``;
@@ -129,6 +124,9 @@ class Job:
 
     def __init__(self, spec: JobSpec, tracer: Optional[Tracer] = None):
         self.spec = spec
+        if tracer is None and spec.perf:
+            # no progress records: the diagnosis reads the layers' spans
+            tracer = Tracer(progress_every=None)
         self.engine = Engine(tracer=tracer)
         self.tracer = self.engine.tracer
         rng = None if spec.seed is None else derive_rng(spec.seed, "net")
@@ -339,57 +337,28 @@ class Job:
         time and sweeps the metrics registry into :attr:`metrics`. Raises
         on deadlock or process failure.
 
-        ``max_events`` uses the same convention as :meth:`Engine.run`: a
-        budget of N allows exactly N events to fire before raising.
-
-        The engine's own loop does the work: the completion callback of the
-        last live process raises :class:`_JobDone`, which stops it right
-        after that process's event fired. Pollers that are still queued
-        never fire. A normal return from :meth:`Engine.run` means the queue
-        drained with processes alive, i.e. a deadlock.
+        The stop, the deadlock report and the ``max_events`` budget (N
+        events fire, then it raises) are
+        :meth:`Engine.run_until_complete`'s: the loop stops right after the
+        last process's event fired, leaving still-queued pollers unfired.
         """
-        eng = self.engine
-        pending = list(procs)
-        live = [p for p in pending if not p.triggered]
-        # Completion is counted by callback instead of scanning every
-        # process per event — the scan is O(n_ranks) and dominates
-        # large-rank jobs.
-        left = [len(live)]
-
-        def _done(_event, left=left):
-            left[0] -= 1
-            if not left[0]:
-                raise _JobDone
-
-        for p in live:
-            p.add_callback(_done)
-        if live:
-            try:
-                eng.run(max_events=max_events)
-            except _JobDone:
-                pass
-            else:
-                alive = [p.name for p in pending if not p.triggered]
-                msg = f"job deadlocked; still alive: {alive}"
-                an = eng.analysis
-                if an.enabled:
-                    report = an.deadlock_report()
-                    if report:
-                        msg += "\n" + report
-                raise SimulationError(msg)
-            finally:
-                # a job that stopped early leaves no stop hooks behind
-                for p in live:
-                    if not p.triggered:
-                        p.callbacks.remove(_done)
-        for p in pending:
-            if p.ok is False:
-                raise p.value
+        self.engine.run_until_complete(procs, max_events=max_events)
         self.collect_metrics()
         if self.analysis is not None:
             # resource lint + strict-mode gate (AnalysisError on errors)
             self.analysis.finalize()
-        return eng.now
+        return self.engine.now
+
+    def perf_metrics(self) -> Dict[str, object]:
+        """The ``perf_*`` diagnosis of this job's trace for
+        ``VariantResult.extra`` (``spec.perf`` jobs; empty otherwise)."""
+        if not self.spec.perf:
+            return {}
+        from repro.perf import analyze_tracer
+
+        report = analyze_tracer(self.tracer, variant=self.spec.variant,
+                                cores_per_rank=self.spec.cores_per_rank)
+        return report.extra_metrics()
 
 
 def build_job(spec: JobSpec, tracer: Optional[Tracer] = None) -> Job:

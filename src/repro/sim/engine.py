@@ -21,13 +21,13 @@ Performance notes (docs/performance.md has the full fast-path contract):
   order is *identical* to a single-heap engine (property-tested against
   the frozen :class:`~repro.bench.legacy.LegacyEngine` in
   tests/test_properties.py).
-* :meth:`Engine.run` dispatches through one inlined loop whenever no
-  tracing of any kind is requested — local bindings, no per-event tracer
-  attribute reads. The loop inlines :meth:`Event._fire` (no Event
-  subclass overrides it). Callers that need to stop on a model condition
-  (``Job.run``, :meth:`Engine.run_until_complete`) raise a private
-  exception from a completion callback instead of stepping the engine
-  themselves.
+* One loop fires every event: :meth:`Engine.run` and :meth:`Engine.step`
+  (a budget of one event) share it. It inlines :meth:`Event._fire` (no
+  Event subclass overrides it) and reads the tracer once per call, not
+  per event: the only per-event observation is the tracer's
+  ``progress_every``. Callers that wait for processes to finish use
+  :meth:`Engine.run_until_complete`, whose completion callback raises a
+  private exception to leave the loop; nobody steps the engine by hand.
 * Cancellation is *lazy*: :meth:`Event.cancel` only flags the entry; the
   engine discards flagged entries as they surface at a lane head, so
   defusing a timeout costs O(1) instead of an O(n) queue rebuild.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Optional, TYPE_CHECKING
+from typing import Iterable, Optional, TYPE_CHECKING
 
 from repro.analysis.pipeline import NULL_ANALYSIS
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -72,7 +72,7 @@ PRIORITY_URGENT = -1
 
 class _Stop(Exception):
     """Raised by :meth:`Engine.run_until_complete`'s completion callback to
-    leave the run loop once the awaited process has terminated."""
+    leave the run loop once the last awaited process has terminated."""
 
 
 class Engine:
@@ -80,9 +80,6 @@ class Engine:
 
     Parameters
     ----------
-    trace:
-        Optional callable invoked as ``trace(time, event)`` just before each
-        event fires; used by tests and debugging tools.
     tracer:
         Optional :class:`repro.trace.Tracer` collecting typed records from
         every instrumented layer; defaults to the zero-cost
@@ -94,7 +91,6 @@ class Engine:
         "_heap",
         "_lane",
         "_seq",
-        "_trace",
         "_running",
         "_event_count",
         "_cancelled",
@@ -104,8 +100,7 @@ class Engine:
         "current_context",
     )
 
-    def __init__(self, trace: Optional[Callable[[float, "Event"], None]] = None,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, tracer: Optional[Tracer] = None):
         self._now: float = 0.0
         #: (time, priority, seq, event) entries with delay > 0 or
         #: non-normal priority
@@ -117,7 +112,6 @@ class Engine:
         #: — property-tested), and its seq lives in ``event._lseq``.
         self._lane: deque = deque()
         self._seq: int = 0
-        self._trace = trace
         self._running = False
         self._event_count = 0
         #: lazily-cancelled entries still sitting in the queue lanes
@@ -177,9 +171,7 @@ class Engine:
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none.
 
-        Cancelled entries surfacing at a lane head are discarded here, so
-        ``peek()`` doubles as the lazy-deletion cleanup point for drivers
-        that step the engine manually (``Job.run``, test harnesses)."""
+        Cancelled entries surfacing at a lane head are discarded here."""
         self._clean_heads()
         lane = self._lane
         heap = self._heap
@@ -256,67 +248,10 @@ class Engine:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    def _pop_next(self):
-        """Pop and return ``(time, event)`` for the next live event, or
-        ``None`` if both lanes are drained. Discards cancelled corpses."""
-        lane = self._lane
-        heap = self._heap
-        while True:
-            if lane:
-                if heap and not self._lane_first(self._now, lane[0]._lseq, heap[0]):
-                    entry = heappop(heap)
-                    time, event = entry[0], entry[3]
-                else:
-                    event = lane.popleft()
-                    time = self._now
-            elif heap:
-                entry = heappop(heap)
-                time, event = entry[0], entry[3]
-            else:
-                return None
-            if event._cancelled:
-                self._cancelled -= 1
-                continue
-            return time, event
-
-    def step(self) -> None:
-        """Fire the single next live event (skipping cancelled entries)."""
-        nxt = self._pop_next()
-        if nxt is None:
-            raise SimulationError("step() on an empty event queue")
-        time, event = nxt
-        if time < self._now:
-            raise SimulationError("event queue time went backwards")
-        self._now = time
-        self._event_count += 1
-        if self._trace is not None:
-            self._trace(time, event)
-        tr = self.tracer
-        if tr.enabled:
-            if tr.engine_events:
-                tr.instant("sim", type(event).__name__, time)
-            every = tr.progress_every
-            if every is not None and self._event_count % every == 0:
-                depth = self.queue_depth
-                tr.span("sim", "progress", self._progress_t0, time,
-                        events=self._event_count, queue_depth=depth)
-                tr.counter("sim", "queue_depth", time, float(depth))
-                self._progress_t0 = time
-        event._fire()
-
-    def budget_error(self, max_events: int) -> SimulationError:
-        """The event-budget-exhausted error, including how many events are
-        still queued but unfired — a drained-vs-live queue distinguishes a
-        genuine deadlock from a model that is simply still making progress.
-        Lazily-cancelled corpses are excluded from the count. With the
-        analysis pipeline enabled, the wait-for diagnosis is appended so a
-        budget hit caused by a communication deadlock names the cycle
-        instead of just counting events."""
-        msg = (
-            f"event budget exhausted ({max_events} events fired) at "
-            f"t={self._now:.6g}s with {self.queue_depth} queued-but-unfired "
-            f"events still pending"
-        )
+    def _with_wait_for(self, msg: str) -> SimulationError:
+        """``msg`` as a :class:`SimulationError`, with the analysis
+        pipeline's wait-for diagnosis appended when checking is on, so a
+        stalled run names who waits for whom instead of just stopping."""
         an = self.analysis
         if an.enabled:
             report = an.deadlock_report()
@@ -324,59 +259,80 @@ class Engine:
                 msg += "\n" + report
         return SimulationError(msg)
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None,
-            trace_every: Optional[int] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or the event
-        budget ``max_events`` is exhausted.
+    def budget_error(self, max_events: int) -> SimulationError:
+        """The event-budget-exhausted error, including how many events are
+        still queued but unfired — a drained-vs-live queue distinguishes a
+        genuine deadlock from a model that is simply still making progress.
+        Lazily-cancelled corpses are excluded from the count. With the
+        analysis pipeline enabled, the wait-for diagnosis is appended."""
+        return self._with_wait_for(
+            f"event budget exhausted ({max_events} events fired) at "
+            f"t={self._now:.6g}s with {self.queue_depth} queued-but-unfired "
+            f"events still pending"
+        )
 
-        ``trace_every`` emits a progress record to the engine's tracer every
-        N fired events (independent of the tracer's own ``progress_every``),
-        so long runs can be watched from the timeline.
+    def step(self) -> None:
+        """Fire the single next live event (skipping cancelled entries):
+        :meth:`run`'s loop with a budget of one event."""
+        before = self._event_count
+        self._dispatch(None, 1, False)
+        if self._event_count == before:
+            raise SimulationError("step() on an empty event queue")
+
+    def run(self, until: Optional[float] = None,
+            max_events: Optional[int] = None) -> float:
+        """Run until the queue drains, ``until`` is reached, or the event
+        budget ``max_events`` is exhausted. A budget of N lets exactly N
+        events fire, then raises :meth:`budget_error`.
 
         An exception raised by a fired callback propagates out of ``run()``
         with the clock at that event's time and the event counted; this is
-        how drivers stop the loop on a model condition.
+        how :meth:`run_until_complete` stops the loop on a model condition.
 
         Returns the simulated time at which the run stopped.
         """
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run())")
-        if trace_every is not None and trace_every < 1:
-            raise SimulationError(f"trace_every must be >= 1, got {trace_every}")
-        self._running = True
-        try:
-            if (self._trace is None and trace_every is None
-                    and not self.tracer.enabled):
-                return self._run_fast(until, max_events)
-            return self._run_traced(until, max_events, trace_every)
-        finally:
-            self._running = False
+        # Single comparison rejects a past (clock-rewinding) and a NaN until.
+        if until is not None and not self._now <= until:
+            raise SimulationError(
+                f"run: until={until!r} is before now={self._now!r}")
+        return self._dispatch(until, max_events, True)
 
-    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> float:
-        """The hot loop: inlined dispatch, zero tracer attribute reads.
+    def _dispatch(self, until: Optional[float], max_events: Optional[int],
+                  budget_raises: bool) -> float:
+        """The engine's one event-dispatch loop, behind :meth:`run` and
+        :meth:`step`: inlined lane-vs-heap selection and inlined
+        :meth:`Event._fire`. An absent ``until``/``max_events`` is an
+        infinite bound. The first live event past either bound is put back
+        unconsumed; the loop then returns, or raises :meth:`budget_error`
+        when the budget ran out and ``budget_raises`` is set.
 
-        Only entered when ``self._trace`` is None, the NULL_TRACER (or any
-        disabled tracer) is installed, and no ``trace_every`` was requested
-        — i.e. when per-event observation hooks cannot fire anyway. Event
-        ordering, cancellation, ``until``, and budget semantics are
-        identical to the traced loop (property-tested in
-        tests/test_properties.py). An absent ``until``/``max_events`` is an
-        infinite bound, so one loop serves bounded and unbounded runs.
+        The only per-event observation is the tracer's ``progress_every``,
+        bound once per call and tested as a local, so the null tracer and a
+        ``progress_every=None`` tracer cost no per-event tracer reads.
+        Progress spans fire at multiples of the engine-wide event count, so
+        they land on the same events however the run is split into calls.
 
         Invariants this loop relies on (enforced elsewhere):
 
-        * :meth:`schedule` rejects negative/non-finite delays, so popped
-          times are monotone by the lane invariants — no per-event
+        * :meth:`schedule` rejects negative/non-finite delays and
+          :meth:`run` rejects an ``until`` in the past, so popped times are
+          monotone by the lane invariants — no per-event
           time-went-backwards check is needed;
         * no :class:`Event` subclass overrides ``_fire`` — its body is
           inlined here (see docs/performance.md).
         """
+        if self._running:
+            raise SimulationError(
+                "engine is already running (re-entrant run() or step())")
+        self._running = True
         heap = self._heap
         lane = self._lane
         pop = heappop
         popleft = lane.popleft
         limit = _INF if until is None else until
         budget = _INF if max_events is None else max_events
+        tr = self.tracer
+        every = tr.progress_every if tr.enabled else None
         fired = 0
         try:
             while True:
@@ -407,7 +363,7 @@ class Engine:
                     self._cancelled -= 1
                     continue
                 if t > limit or fired >= budget:
-                    # not consumed: fires on a later run()
+                    # not consumed: fires on a later run()/step()
                     if from_lane:
                         lane.appendleft(event)
                     else:
@@ -415,9 +371,14 @@ class Engine:
                     if t > limit:
                         self._now = limit
                         return limit
-                    raise self.budget_error(max_events)
+                    if budget_raises:
+                        raise self.budget_error(max_events)
+                    return self._now
                 self._now = t
                 fired += 1
+                if every is not None and (
+                        n := self._event_count + fired) % every == 0:
+                    self._progress(t, n)
                 # --- inlined Event._fire() ---
                 event._triggered = True
                 callbacks = event.callbacks
@@ -437,59 +398,63 @@ class Engine:
             return self._now
         finally:
             self._event_count += fired
+            self._running = False
 
-    def _run_traced(self, until: Optional[float], max_events: Optional[int],
-                    trace_every: Optional[int]) -> float:
-        """Observable loop: one :meth:`step` per event, all hooks live."""
-        fired = 0
-        while True:
-            next_time = self.peek()
-            if next_time == _INF:
-                if until is not None and until > self._now:
-                    self._now = until
-                break
-            if until is not None and next_time > until:
-                self._now = until
-                break
-            if max_events is not None and fired >= max_events:
-                raise self.budget_error(max_events)
-            self.step()
-            fired += 1
-            if trace_every is not None and fired % trace_every == 0:
-                tr = self.tracer
-                if tr.enabled:
-                    tr.instant("sim", "run_progress", self._now,
-                               fired=fired, queue_depth=self.queue_depth)
-        return self._now
+    def _progress(self, t: float, count: int) -> None:
+        """Record the ``sim`` progress span since the previous one and the
+        live queue depth, just before event number ``count`` fires."""
+        tr = self.tracer
+        depth = self.queue_depth
+        tr.span("sim", "progress", self._progress_t0, t,
+                events=count, queue_depth=depth)
+        tr.counter("sim", "queue_depth", t, float(depth))
+        self._progress_t0 = t
 
-    def run_until_complete(self, process: "Process", max_events: Optional[int] = None) -> object:
-        """Run until ``process`` terminates; return its value or re-raise its
-        failure. Raises if the queue drains while the process is still alive
-        (i.e. the model deadlocked)."""
-        if not process.triggered:
+    def run_until_complete(self, processes: "Process | Iterable[Process]",
+                           max_events: Optional[int] = None) -> object:
+        """Run until every process in ``processes`` (one process or an
+        iterable of them) has terminated, then return its value (a list of
+        values for an iterable) or re-raise the first failure.
 
-            def _stop(_event):
+        The completion callback of the last live process stops the loop
+        right after that process's event fired, so events still queued —
+        pollers that never finish — do not fire. A drained queue with a
+        process still alive is a deadlock: the error names the survivors
+        and, with analysis on, carries the wait-for diagnosis. The hooks
+        are detached however the run ends, so the engine can run on.
+        """
+        from repro.sim.events import Event
+
+        single = isinstance(processes, Event)
+        procs = [processes] if single else list(processes)
+        live = [p for p in procs if not p.triggered]
+        # Completion is counted by callback, never by scanning every
+        # process per event (O(n_ranks) per event on large jobs).
+        left = len(live)
+
+        def _done(_event):
+            nonlocal left
+            left -= 1
+            if not left:
                 raise _Stop
 
-            process.add_callback(_stop)
+        for p in live:
+            p.add_callback(_done)
+        if live:
             try:
                 self.run(max_events=max_events)
             except _Stop:
                 pass
             else:
-                msg = (
-                    f"deadlock: event queue drained at t={self._now:.6g}s "
-                    f"with process {process!r} still pending"
-                )
-                an = self.analysis
-                if an.enabled:
-                    report = an.deadlock_report()
-                    if report:
-                        msg += "\n" + report
-                raise SimulationError(msg)
+                alive = [p.name for p in procs if not p.triggered]
+                raise self._with_wait_for(
+                    f"deadlock: event queue drained at t={self._now:.6g}s; "
+                    f"still alive: {alive}")
             finally:
-                if not process.triggered:
-                    process.callbacks.remove(_stop)
-        if not process.ok:
-            raise process.value  # type: ignore[misc]
-        return process.value
+                for p in live:
+                    if not p.triggered:
+                        p.callbacks.remove(_done)
+        for p in procs:
+            if p.ok is False:
+                raise p.value  # type: ignore[misc]
+        return procs[0].value if single else [p.value for p in procs]

@@ -44,10 +44,6 @@ class Tracer:
 
     Parameters
     ----------
-    engine_events:
-        Also record one instant per fired DES event (very verbose; off by
-        default — the engine's periodic progress records are usually what
-        you want).
     progress_every:
         Emit an engine progress span + queue-depth counter every N fired
         events (the ``sim`` category's timeline). ``None`` disables.
@@ -55,11 +51,9 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, engine_events: bool = False,
-                 progress_every: Optional[int] = 10_000):
+    def __init__(self, progress_every: Optional[int] = 10_000):
         if progress_every is not None and progress_every < 1:
             raise ValueError("progress_every must be >= 1 or None")
-        self.engine_events = engine_events
         self.progress_every = progress_every
         self.records: List[TraceRecord] = []
 
@@ -132,7 +126,7 @@ class _NullTracer(Tracer):
     enabled = False
 
     def __init__(self):
-        super().__init__(engine_events=False, progress_every=None)
+        super().__init__(progress_every=None)
 
     def span(self, *a, **k) -> None:  # pragma: no cover - guarded call sites
         pass

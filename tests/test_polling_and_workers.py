@@ -107,16 +107,6 @@ class TestWorkerAccounting:
         assert all(c == 4 for c in per_worker)
 
 
-class TestEngineTrace:
-    def test_trace_hook_sees_every_event(self):
-        seen = []
-        eng = Engine(trace=lambda t, ev: seen.append(t))
-        eng.timeout(1.0)
-        eng.timeout(2.0)
-        eng.run()
-        assert seen == [1.0, 2.0]
-
-
 class TestOutstandingWindow:
     def test_outstanding_counts_only_dependency_tasks(self):
         eng, rt = make_rt()

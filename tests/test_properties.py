@@ -268,9 +268,10 @@ class TestEngineOrderingProperties:
     ), min_size=1, max_size=25))
     @settings(max_examples=100, deadline=None)
     def test_fast_run_equals_step_loop(self, specs):
-        """run()'s inlined fast path fires the exact same sequence as the
-        fully-observable peek()/step() loop, including cascades scheduled
-        mid-run and lazily-cancelled events."""
+        """One run() fires the exact same sequence as N single step()
+        calls, including cascades scheduled mid-run and lazily-cancelled
+        events. Both go through the one dispatch loop, so this checks
+        that the budget-of-one put-back and resume keep the order."""
         from repro.sim.events import Event
 
         def execute(drive):

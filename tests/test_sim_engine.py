@@ -27,6 +27,35 @@ class TestEngineBasics:
         eng.timeout(1.0)
         assert eng.run(until=5.0) == 5.0
 
+    def test_run_until_in_the_past_rejected(self):
+        """run(until=t) with t < now would rewind the clock and time every
+        later schedule() from the rewound value."""
+        eng = Engine()
+        eng.timeout(20.0)
+        eng.run(until=15.0)
+        for until in (5.0, float("nan")):
+            with pytest.raises(SimulationError, match="before now"):
+                eng.run(until=until)
+        assert eng.now == 15.0
+        assert eng.run(until=15.0) == 15.0  # until == now is a no-op
+        assert eng.run() == 20.0
+
+    def test_step_inside_a_callback_rejected(self):
+        eng = Engine()
+        errors = []
+
+        def body():
+            with pytest.raises(SimulationError, match="re-entrant") as exc:
+                eng.step()
+            errors.append(exc.value)
+            yield eng.timeout(1.0)
+
+        eng.timeout(0.5)  # a queued event the inner step() must not fire
+        eng.process(body())
+        assert eng.run() == 1.0
+        assert len(errors) == 1
+        assert eng.event_count == 4  # process start, two timeouts, process end
+
     def test_negative_delay_rejected(self):
         eng = Engine()
         with pytest.raises(SimulationError):
@@ -283,6 +312,59 @@ class TestProcesses:
             eng.run_until_complete(proc, max_events=2)
         eng.run()  # the process finishes without tripping a stale hook
         assert proc.value == 7
+
+
+    def test_run_until_complete_many_returns_values_in_order(self):
+        eng = Engine()
+
+        def body(delay, value):
+            yield eng.timeout(delay)
+            return value
+
+        procs = [eng.process(body(2.0, "a")), eng.process(body(1.0, "b"))]
+        assert eng.run_until_complete(procs) == ["a", "b"]
+        assert eng.now == 2.0
+
+    def test_run_until_complete_many_reraises_rank_failure(self):
+        """A failed rank stops the run with its own error while the other
+        ranks are still running, and leaves no stop hook behind."""
+        eng = Engine()
+
+        def ok():
+            for _ in range(5):
+                yield eng.timeout(1.0)
+
+        def bad():
+            yield eng.timeout(1.5)
+            raise KeyError("rank1 broke")
+
+        procs = [eng.process(ok()), eng.process(bad())]
+        with pytest.raises(KeyError, match="rank1 broke"):
+            eng.run_until_complete(procs)
+        assert eng.now == 1.5
+        assert not procs[0].triggered
+        eng.run()  # the surviving rank finishes without a stale hook
+        assert procs[0].ok and eng.now == 5.0
+
+    def test_run_until_complete_deadlock_names_survivors(self):
+        eng = Engine()
+        gate = Event(eng)
+
+        def done():
+            yield eng.timeout(1.0)
+
+        def stuck_a():
+            yield gate
+
+        def stuck_b():
+            yield gate
+
+        procs = [eng.process(done()), eng.process(stuck_a()),
+                 eng.process(stuck_b())]
+        with pytest.raises(SimulationError, match="deadlock") as exc:
+            eng.run_until_complete(procs)
+        assert "still alive: ['stuck_a', 'stuck_b']" in str(exc.value)
+        assert eng.now == 1.0
 
 
 class TestDeterminism:

@@ -79,19 +79,24 @@ class TestMetricsRegistry:
 
 
 class TestEngineHooks:
-    def test_run_progress_instants(self):
-        eng = Engine(tracer=Tracer())
+    def test_progress_spans_count_across_calls(self):
+        """Progress spans land on every 4th event of the engine, however
+        the run is split into step() and run() calls."""
+        eng = Engine(tracer=Tracer(progress_every=4))
         for i in range(10):
             Timeout(eng, float(i))
-        eng.run(trace_every=4)
-        marks = [r for r in eng.tracer.records if r.name == "run_progress"]
-        assert len(marks) == 2  # after 4 and 8 of 10 events
-        assert marks[0].args["fired"] == 4
+        eng.step()
+        eng.run(until=5.0)
+        eng.run()
+        marks = [r for r in eng.tracer.spans("sim") if r.name == "progress"]
+        # events 4 and 8 of 10 fire at t=3 and t=7
+        assert [(m.t0, m.t1, m.args["events"]) for m in marks] == [
+            (0.0, 3.0, 4), (3.0, 7.0, 8)]
+        assert marks[0].args["queue_depth"] == 6
 
-    def test_trace_every_validated(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            eng.run(trace_every=0)
+    def test_progress_every_validated(self):
+        with pytest.raises(ValueError, match="progress_every"):
+            Tracer(progress_every=0)
 
     def test_budget_error_reports_pending_events(self):
         eng = Engine()
