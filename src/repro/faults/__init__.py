@@ -12,8 +12,8 @@ dimension to the simulation:
   recovery parameters.
 * :class:`FaultInjector` — executes a plan against one cluster, drawing all
   randomness from a ``repro.sim.rng`` stream so faulted runs are a pure
-  function of ``(plan, seed)``; with no injector installed the transport's
-  clean path is untouched (empty plan ⇒ bit-identical run).
+  function of ``(plan, seed)``; it decides message fates on the one wire
+  path, so a plan that injects nothing is bit-identical to no plan.
 * :class:`RecoveryPolicy` — what TAGASPI (purge + re-submit, bounded
   retries) and TAMPI (release) do about operations that time out.
 * :class:`FaultReport` / :class:`FaultAbort` — structured post-mortem of a

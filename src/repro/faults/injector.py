@@ -8,9 +8,11 @@ factors, partitions, stalls), and accumulates :class:`FaultStats`.
 
 Installation is a single attribute hook: ``install(cluster)`` sets
 ``cluster.injector`` and schedules the plan's node stalls on the engine.
-The transport checks ``cluster.injector`` once per send — when no injector
-is installed (empty plan) the clean path runs with **zero** extra work and
-zero RNG draws, which is what makes empty-plan runs bit-identical.
+An injector exists only for a non-empty plan (an empty one raises); the
+harness installs none for ``faults=None`` or an empty plan. Faulted and
+fault-free traffic share one wire path: the transport asks the injector
+for each wire transmission's fate and degradation factors and otherwise
+runs unchanged, so a plan that injects nothing is bit-identical to no plan.
 
 All randomness is drawn in deterministic event order from the injector's
 own stream, never from the cluster's jitter stream, so enabling faults
@@ -95,7 +97,7 @@ class FaultInjector:
     Parameters
     ----------
     plan:
-        The frozen fault scenario.
+        The frozen fault scenario; must not be empty.
     engine:
         The simulation engine (stalls are scheduled on it at install time).
     rng:
@@ -107,13 +109,13 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan, engine, rng: Optional[np.random.Generator] = None,
                  report: Optional[FaultReport] = None):
+        if plan.empty:
+            raise ValueError("an empty fault plan needs no injector")
         self.plan = plan
         self.engine = engine
         self.rng = rng
         self.report = report if report is not None else FaultReport()
         self.stats = FaultStats()
-        #: non-empty plans put the transport on the fault-aware wire path
-        self.active = not plan.empty
         self.cluster = None
         # per-scripted-fault match counters (index-aligned with plan.scripted)
         self._script_seen: List[int] = [0] * len(plan.scripted)

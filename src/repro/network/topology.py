@@ -24,7 +24,11 @@ Delivery order is forced to be monotone per (src_rank, dst_rank) even under
 jitter — a strictly stronger guarantee than GASPI's per-(queue, target)
 ordering, and what real fabrics provide per virtual channel. The clamp is
 applied to ``wire_arrive`` on the sender side, so the receiver-side grant
-scan sees per-channel non-decreasing arrivals.
+scan sees per-channel non-decreasing arrivals and needs no delivery floor.
+
+Faulted and fault-free traffic share this one path: an installed
+:class:`~repro.faults.FaultInjector` decides each transmission's fate
+(drop, duplicate, reorder) at its egress grant end in :meth:`_transmit`.
 """
 
 from __future__ import annotations
@@ -126,18 +130,18 @@ class Cluster:
         self._stats = NetworkStats()
         self._rank_node: Dict[int, int] = {}
         self._endpoints: Dict[Tuple[int, str], DeliveryHandler] = {}
-        # last scheduled delivery time per (src_rank, dst_rank): FIFO guard
+        # last node-local delivery time per (src_rank, dst_rank): FIFO guard
         self._channel_clock: Dict[Tuple[int, int], float] = {}
         # last *wire arrival* per (src_rank, dst_rank): sender-side clamp
         # that keeps the channel FIFO under jitter before records are
         # enqueued (receiver-side drains then see monotone channels)
         self._wire_clock: Dict[Tuple[int, int], float] = {}
         #: installed by repro.faults.FaultInjector.install(); None = perfect
-        #: fabric, and send() takes the original zero-overhead path
+        #: fabric (no fate draws, no degradation factors)
         self.injector = None
-        # duplicated-message bookkeeping for receiver-side NIC dedup
-        self._dup_tracked: set = set()
-        self._dup_seen: set = set()
+        # duplicated messages in flight: uid -> "first copy delivered", for
+        # the receiver-side NIC dedup in the drain
+        self._dups: Dict[int, bool] = {}
         # cluster-local edge ids for traced send->deliver causality; msg.uid
         # is process-global (never exported), so the tracer gets its own
         # deterministic counter plus a transient uid->eid map
@@ -246,22 +250,14 @@ class Cluster:
                         kind=msg.kind, nbytes=msg.nbytes, eid=eid, **extra)
         src_node = self.node_of(msg.src_rank)
         dst_node = self.node_of(msg.dst_rank)
-        intra = src_node == dst_node
-        fab = self.fabric
-
-        # Wire (inter-node) messages take the fault-aware path when a
-        # non-empty fault plan is installed; node-local copies are never
-        # faulted. With no injector this costs one attribute test.
-        if not intra and self.injector is not None and self.injector.active:
-            return self._send_faulted(msg, now, src_node, dst_node)
-
         st = self._stats
         st.messages += 1
         st.bytes += msg.nbytes
         if msg.nbytes <= 64:
             st.control_messages += 1
 
-        if intra:
+        if src_node == dst_node:
+            fab = self.fabric
             copy_time = fab.serialization(msg.nbytes, intra=True)
             local_done = now + copy_time
             arrive = local_done + fab.base_latency(intra=True)
@@ -289,32 +285,62 @@ class Cluster:
             ev.succeed(delay=arrive - eng.now)
             return local_done
 
-        # --- inter-node: sender computes the wire arrival, receiver
-        # --- grants the ingress NIC in wire-arrival order at drain time
+        return self._transmit(msg, now, src_node, dst_node)
+
+    def _transmit(self, msg: Message, at: float, src_node: int, dst_node: int,
+                  attempt: int = 0, is_copy: bool = False) -> float:
+        """One wire transmission of ``msg`` starting no earlier than ``at``.
+
+        The sender computes the egress grant and the wire arrival and
+        enqueues a record; the receiver's drain grants the ingress NIC.
+        Returns the egress grant end: the source buffer has left the host,
+        and the NIC keeps its own copy for retransmission, so a drop never
+        stalls the sender, only the delivery.
+        """
+        fab = self.fabric
+        inj = self.injector
         bw_factor = fab.cost(f"{msg.protocol}.bw_factor", 1.0)
         ser = fab.serialization(msg.nbytes, intra=False) / bw_factor
+        if inj is not None:
+            ser *= inj.serialization_factor(src_node, dst_node, at)
         src = self.nodes[src_node]
-        grant = src.egress.use(ser, at=now)
-        local_done = grant.end
+        t_wire = src.egress.use(ser, at=at).end
+        fate = "ok"
+        if inj is not None:
+            fate = self._fate(msg, src_node, dst_node, t_wire, attempt, is_copy)
+            if fate == "drop":
+                return t_wire
         latency = (
             fab.base_latency(intra=False)
             + fab.cost(f"{msg.protocol}.lat_extra", 0.0)
             + self._jitter(msg.protocol, src_node)
         )
-        wire_arrive = grant.end + latency
-        # The wire keeps per-(src_rank, dst_rank) FIFO order even under
-        # jitter: a later injection never arrives first.
-        chan = (msg.src_rank, msg.dst_rank)
-        wfloor = self._wire_clock.get(chan, 0.0)
-        if wire_arrive < wfloor:
-            wire_arrive = wfloor
-        self._wire_clock[chan] = wire_arrive
+        if inj is not None:
+            latency *= inj.latency_factor(src_node, dst_node, t_wire)
+            if fate == "reorder":
+                latency += inj.reorder_extra()
+        wire_arrive = t_wire + latency
+        if fate != "reorder":
+            # The wire keeps per-(src_rank, dst_rank) FIFO order even under
+            # jitter: a later injection never arrives first. A reordered
+            # message escapes the clamp and does not raise it, so later
+            # traffic overtakes it (that is the fault).
+            chan = (msg.src_rank, msg.dst_rank)
+            wfloor = self._wire_clock.get(chan, 0.0)
+            if wire_arrive < wfloor:
+                wire_arrive = wfloor
+            self._wire_clock[chan] = wire_arrive
         cnt = src.out_cnt
         src.out_cnt = cnt + 1
         self._enqueue_record(
-            dst_node, (wire_arrive, src_node, cnt, ser, msg, local_done)
+            dst_node, (wire_arrive, src_node, cnt, ser, msg, t_wire)
         )
-        return local_done
+        if fate == "duplicate":
+            # a ghost copy follows on the wire; the receiver NIC dedups it
+            self._dups[msg.uid] = False
+            self._transmit(msg, t_wire, src_node, dst_node, attempt,
+                           is_copy=True)
+        return t_wire
 
     # ------------------------------------------------------------------
     # receiver-ordered ingress
@@ -357,7 +383,8 @@ class Cluster:
         ``(wire_arrive, src_node, send#)``-sorted, a pure function of the
         record set. Each granted record is scheduled with
         :meth:`Engine.schedule_at` at its exact delivery time, in drain
-        order, so the block takes consecutive ``seq`` numbers.
+        order, so the block takes consecutive ``seq`` numbers. The second
+        copy of a duplicated message is granted the NIC but not delivered.
         """
         eng = self.engine
         now = eng.now
@@ -365,23 +392,16 @@ class Cluster:
         node.wake_time = _INF
         pending = node.pending
         ingress = node.ingress
-        clock = self._channel_clock
+        dups = self._dups
         tr = eng.tracer
         transit = node.transit_time
         schedule_at = eng.schedule_at
         new = Event.__new__
         while pending and pending[0][0] <= now:
             w, _src, _cnt, ser, msg, local_done = heappop(pending)
-            in_grant = ingress.use(ser, at=w)
-            arrive = in_grant.end
-            # Per-channel delivery floor; a no-op after the sender-side
-            # wire clamp (same-channel grants come out non-decreasing),
-            # kept for the faulted path which shares the clock.
-            chan = (msg.src_rank, msg.dst_rank)
-            floor = clock.get(chan, 0.0)
-            if arrive < floor:
-                arrive = floor
-            clock[chan] = arrive
+            arrive = ingress.use(ser, at=w).end
+            if dups and msg.uid in dups and self._suppress_ghost(msg, arrive):
+                continue
             transit += arrive - msg.injected_at
             if tr.enabled:
                 tr.span("net", f"{msg.protocol}.{msg.kind}",
@@ -427,38 +447,15 @@ class Cluster:
         handler(msg)
 
     # ------------------------------------------------------------------
-    # fault-aware transport (repro.faults)
+    # fault fates (repro.faults)
     # ------------------------------------------------------------------
-    def _send_faulted(self, msg: Message, now: float, src_node: int,
-                      dst_node: int) -> float:
-        """Wire send under an active fault injector.
-
-        The local-completion contract is unchanged: the source buffer has
-        left the host once the *first* egress serialization finishes — the
-        NIC keeps its own copy for ack-based retransmission, so drops never
-        stall the sender, only the delivery.
-        """
-        st = self._stats
-        st.messages += 1
-        st.bytes += msg.nbytes
-        if msg.nbytes <= 64:
-            st.control_messages += 1
-        return self._transmit_faulted(msg, now, src_node, dst_node,
-                                      attempt=0, is_copy=False)
-
-    def _transmit_faulted(self, msg: Message, at: float, src_node: int,
-                          dst_node: int, attempt: int, is_copy: bool) -> float:
-        """One wire transmission attempt; returns the egress grant end."""
-        eng = self.engine
-        fab = self.fabric
+    def _fate(self, msg: Message, src_node: int, dst_node: int, t_wire: float,
+              attempt: int, is_copy: bool) -> str:
+        """Decide a transmission's fate the instant it hits the wire:
+        ``"ok"``, ``"drop"``, ``"duplicate"`` or ``"reorder"``. A dropped
+        transmission is scheduled for NIC retransmission (or recorded lost)
+        here; it enqueues no wire record."""
         inj = self.injector
-        bw_factor = fab.cost(f"{msg.protocol}.bw_factor", 1.0)
-        ser = fab.serialization(msg.nbytes, intra=False) / bw_factor
-        ser *= inj.serialization_factor(src_node, dst_node, at)
-        grant = self.nodes[src_node].egress.use(ser, at=at)
-        t_wire = grant.end
-
-        # fate decided the instant the message hits the wire
         if inj.partitioned(src_node, dst_node, t_wire):
             inj.stats.partition_dropped += 1
             fate = "drop"
@@ -467,12 +464,12 @@ class Cluster:
             fate = inj.wire_fate(msg, attempt, is_copy)
             if fate != "ok":
                 self._trace_fault(msg, fate, t_wire, attempt)
-
         if fate == "drop":
             plan = inj.plan
             if plan.nic_ack and attempt < plan.max_retransmits:
                 # the sender NIC notices the missing ack after an RTO and
                 # retransmits with exponential backoff
+                eng = self.engine
                 retry_at = t_wire + inj.backoff_delay(attempt)
                 ev = eng.event()
                 ev.add_callback(
@@ -485,80 +482,28 @@ class Cluster:
                 inj.report.record(t_wire, "net", "lost", rank=msg.src_rank,
                                   dst=msg.dst_rank, msg_kind=msg.kind,
                                   uid=msg.uid, attempts=attempt + 1)
-            return grant.end
-
-        latency = (
-            fab.base_latency(intra=False)
-            + fab.cost(f"{msg.protocol}.lat_extra", 0.0)
-            + self._jitter(msg.protocol, src_node)
-        )
-        latency *= inj.latency_factor(src_node, dst_node, t_wire)
-        reordered = fate == "reorder"
-        if reordered:
-            latency += inj.reorder_extra()
-        wire_arrive = grant.end + latency
-        if reordered:
-            # A reordered packet strays off the in-order pipeline; reserving
-            # the ingress device at its (far-future) arrival would backlog
-            # earlier traffic behind the reservation, so it pays the
-            # serialization cost without occupying the device.
-            arrive = wire_arrive + ser
-        else:
-            in_grant = self.nodes[dst_node].ingress.use(ser, at=wire_arrive)
-            arrive = in_grant.end
-
-        # Reordered messages escape the per-channel FIFO floor (that is the
-        # fault) and do not raise it, so later traffic may overtake them.
-        # Retransmitted messages keep FIFO semantics: one loss delays the
-        # whole channel, as on an in-order virtual circuit.
-        chan = (msg.src_rank, msg.dst_rank)
-        floor = self._channel_clock.get(chan, 0.0)
-        if not reordered:
-            if arrive < floor:
-                arrive = floor
-            self._channel_clock[chan] = arrive
-
-        tr = eng.tracer
-        if tr.enabled:
-            tr.span("net", f"{msg.protocol}.{msg.kind}", at, arrive,
-                    rank=msg.src_rank, dst=msg.dst_rank, nbytes=msg.nbytes,
-                    intra=False, local_done=grant.end, attempt=attempt)
-
-        ev = eng.event()
-        ev.add_callback(lambda _ev: self._deliver_faulted(msg))
-        ev.succeed(delay=arrive - eng.now)
-
-        if fate == "duplicate":
-            # a ghost copy follows on the wire; the receiver NIC dedups it
-            self._dup_tracked.add(msg.uid)
-            self._transmit_faulted(msg, grant.end, src_node, dst_node,
-                                   attempt, is_copy=True)
-        return grant.end
+        return fate
 
     def _retransmit(self, msg: Message, src_node: int, dst_node: int,
                     attempt: int) -> None:
-        inj = self.injector
-        inj.stats.retransmits += 1
-        self._trace_fault(msg, "retransmit", self.engine.now, attempt)
-        self._transmit_faulted(msg, self.engine.now, src_node, dst_node,
-                               attempt, is_copy=False)
+        now = self.engine.now
+        self.injector.stats.retransmits += 1
+        self._trace_fault(msg, "retransmit", now, attempt)
+        self._transmit(msg, now, src_node, dst_node, attempt)
 
-    def _deliver_faulted(self, msg: Message) -> None:
-        uid = msg.uid
-        if uid in self._dup_tracked:
-            if uid in self._dup_seen:
-                # second copy of a duplicated message: suppressed at the
-                # receiving NIC, so upper layers never see it (and, e.g.,
-                # notifications are not double-posted)
-                self._dup_tracked.discard(uid)
-                self._dup_seen.discard(uid)
-                self.injector.stats.dup_suppressed += 1
-                self._trace_fault(msg, "dup_suppressed", self.engine.now, 0)
-                return
-            self._dup_seen.add(uid)
-        dst_node = self.node_of(msg.dst_rank)
-        self.nodes[dst_node].transit_time += self.engine.now - msg.injected_at
-        self._deliver(msg)
+    def _suppress_ghost(self, msg: Message, arrive: float) -> bool:
+        """Receiver-NIC dedup of a duplicated message, in drain order: the
+        first copy granted the ingress NIC is delivered; the second has
+        occupied the NIC but adds no transit time and reaches no endpoint
+        (so, e.g., a notification is never double-posted)."""
+        dups = self._dups
+        if not dups[msg.uid]:
+            dups[msg.uid] = True
+            return False
+        del dups[msg.uid]
+        self.injector.stats.dup_suppressed += 1
+        self._trace_fault(msg, "dup_suppressed", arrive, 0)
+        return True
 
     def _trace_fault(self, msg: Message, what: str, t: float, attempt: int) -> None:
         tr = self.engine.tracer

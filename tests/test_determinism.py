@@ -8,8 +8,13 @@ import pytest
 
 from repro.apps.miniamr import AMRParams, build_mesh_schedule, run_miniamr
 from repro.apps.streaming import StreamingParams, run_streaming
-from repro.faults import FaultPlan, RecoveryPolicy
-from repro.harness import JobSpec, MARENOSTRUM4
+from repro.faults import (
+    FaultPlan,
+    LinkDegradation,
+    RecoveryPolicy,
+    ScriptedFault,
+)
+from repro.harness import CTE_AMD, JobSpec, MARENOSTRUM4
 from repro.trace import Tracer, chrome_trace
 
 MACH4 = MARENOSTRUM4.with_cores(4)
@@ -90,8 +95,8 @@ class TestRunnerDeterminism:
 
 
 class TestFaultDeterminism:
-    """A faulted run is a pure function of (plan, seed); an empty plan is
-    bit-identical to no plan at all."""
+    """A faulted run is a pure function of (plan, seed); an empty plan, or
+    one that injects nothing, is bit-identical to no plan at all."""
 
     @staticmethod
     def _run_gs(faults, variant="tagaspi", seed=7, check=None):
@@ -123,6 +128,33 @@ class TestFaultDeterminism:
         b, tb = self._run_gs(FaultPlan())
         assert a.sim_time == b.sim_time
         assert a.extra == b.extra
+        assert self._dump(ta) == self._dump(tb)
+
+    @pytest.mark.parametrize("variant", ["mpi", "tampi", "tagaspi"])
+    def test_inert_plan_bit_identical_to_no_plan(self, variant):
+        """A non-empty plan that never fires installs an injector but must
+        not change the network model: faulted and fault-free traffic ride
+        one wire path."""
+        inert = FaultPlan(
+            scripted=(ScriptedFault("drop", 5, 6),),
+            degradations=(LinkDegradation(t0=10.0, t1=11.0,
+                                          latency_factor=2.0),))
+        params = StreamingParams(chunks=3, elements_per_chunk=16384,
+                                 block_size=2048, compute_data=False)
+
+        def run(faults):
+            tracer = Tracer(progress_every=None)
+            spec = JobSpec(machine=CTE_AMD, n_nodes=3, variant=variant,
+                           poll_period_us=15, faults=faults)
+            return run_streaming(spec, params, tracer=tracer), tracer
+
+        a, ta = run(None)
+        b, tb = run(inert)
+        assert b.extra["fault_injected"] == 0
+        assert a.sim_time == b.sim_time
+        strip = lambda extra: {k: v for k, v in extra.items()
+                               if not k.startswith("fault_")}
+        assert strip(a.extra) == strip(b.extra)
         assert self._dump(ta) == self._dump(tb)
 
     def test_recovery_only_plan_bit_identical_to_no_plan(self):

@@ -90,6 +90,10 @@ class TestFaultPlan:
         assert not FaultPlan(
             scripted=(ScriptedFault("drop", 0, 1),)).empty
 
+    def test_injector_rejects_empty_plan(self):
+        with pytest.raises(ValueError):
+            FaultInjector(FaultPlan(), Engine())
+
     def test_presets_accept_overrides(self):
         p = FaultPlan.mild(drop_prob=0.2)
         assert p.drop_prob == 0.2 and p.dup_prob > 0
@@ -200,8 +204,7 @@ class TestWireFaults:
 
     def test_node_stall_delays_traffic(self):
         stall = 500e-6
-        base_eng, base_g, _ = make_gaspi(FaultPlan(
-            scripted=(ScriptedFault("drop", 5, 6),)))  # active but never hits
+        base_eng, base_g, _ = make_gaspi()
         plan = FaultPlan(stalls=(NodeStall(node=0, t0=0.0, duration=stall),),
                          scripted=(ScriptedFault("drop", 5, 6),))
         eng, g, inj = make_gaspi(plan)
@@ -226,8 +229,7 @@ class TestWireFaults:
                               bandwidth_factor=0.25)
         plan = FaultPlan(degradations=(deg,))
         eng, g, _inj = make_gaspi(plan)
-        base_eng, base_g, _ = make_gaspi(
-            FaultPlan(scripted=(ScriptedFault("drop", 5, 6),)))
+        base_eng, base_g, _ = make_gaspi()
         for gg in (base_g, g):
             gg.rank(0).segment_register(0, np.ones(1024))
             gg.rank(1).segment_register(0, np.zeros(1024))
